@@ -9,6 +9,10 @@ triangle, while ``morley_triangle`` trisects an arbitrary triangle
 directly.  The ``verify`` module turns the angle identities relating
 the two into named, tolerance-checked reports, and ``render_svg``
 draws either figure deterministically.
+
+The rest of the library is reached through its modules
+(``morley.kernel``, ``morley.inverse``, ``morley.forward``,
+``morley.verify``, ``morley.document``, ``morley.render``).
 """
 
 from .document import (
@@ -17,114 +21,39 @@ from .document import (
     parse_config_document,
     summary_document,
 )
-from .forward import (
-    Ray,
-    apply_similarity,
-    morley_triangle,
-    side_spread,
-    trisectors,
-)
-from .inverse import (
-    AngleTriple,
-    InvalidAngles,
-    MorleyConfiguration,
-    NotEquilateral,
-    construct,
-    equilateral_triangle,
-    place_arc_points,
-)
-from .kernel import (
-    Circle,
-    DegenerateChord,
-    DegenerateLine,
-    DegenerateRay,
-    DegenerateTriangle,
-    FarPointOnLine,
-    GeometryError,
-    Line,
-    NearParallel,
-    Point,
-    Triangle,
-    angle_at,
-    chord_arc_circle,
-    intersect_lines,
-    midpoint,
-    orientation,
-    rotate_about,
-    signed_angle,
-)
-from .render import RenderStyle, TrisectionScene, render_svg
+from .forward import morley_triangle, side_spread
+from .inverse import AngleTriple, construct, equilateral_triangle
+from .kernel import GeometryError, Point, Triangle
+from .render import TrisectionScene, render_svg
 from .verify import (
-    CheckReport,
-    VerificationSummary,
     check_angle_identities,
-    check_equilateral_forward,
-    check_isosceles_arcs,
     check_limit_perpendicular,
-    check_outer_angles,
-    check_roundtrip,
-    check_similarity_invariance,
     limit_sequence,
-    polygon_interior_angles,
-    random_similarity,
     random_triangle,
     run_battery,
-    sample_angle_triples,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AngleTriple",
-    "CheckReport",
-    "Circle",
-    "DegenerateChord",
-    "DegenerateLine",
-    "DegenerateRay",
-    "DegenerateTriangle",
-    "FarPointOnLine",
     "GeometryError",
-    "InvalidAngles",
-    "Line",
-    "MorleyConfiguration",
-    "NearParallel",
-    "NotEquilateral",
     "Point",
-    "Ray",
-    "RenderStyle",
     "Triangle",
     "TrisectionScene",
-    "VerificationSummary",
-    "angle_at",
-    "apply_similarity",
     "check_angle_identities",
-    "check_equilateral_forward",
-    "check_isosceles_arcs",
     "check_limit_perpendicular",
-    "check_outer_angles",
-    "check_roundtrip",
-    "check_similarity_invariance",
-    "chord_arc_circle",
     "config_document",
     "construct",
     "equilateral_triangle",
     "forward_document",
-    "intersect_lines",
     "limit_sequence",
-    "midpoint",
     "morley_triangle",
-    "orientation",
     "parse_config_document",
-    "place_arc_points",
-    "polygon_interior_angles",
-    "random_similarity",
     "random_triangle",
     "render_svg",
-    "rotate_about",
     "run_battery",
-    "sample_angle_triples",
     "side_spread",
     "summary_document",
-    "trisectors",
     "__version__",
 ]

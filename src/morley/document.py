@@ -1,62 +1,39 @@
 """JSON documents for configurations, verification runs and trisections.
 
 Emission is deterministic: fixed key order, two-space indentation and
-floats printed with 17 significant digits so that every value parses
-back to the identical double.  parse_config_document inverts
+floats printed by ``repr``, the shortest text that parses back to the
+identical double.  Documents are streamed through the standard library
+encoder into one buffer, so a large verification report is never held
+as a list of encoder chunks.  parse_config_document inverts
 config_document exactly.
 """
 
 from __future__ import annotations
 
+import io
 import json
 from typing import Any
 
 from .forward import side_spread
 from .inverse import (
     ARC_CHORD_NAMES,
+    ARC_POINT_NAMES,
+    INNER_NAMES,
     LINE_POINT_NAMES,
+    OUTER_NAMES,
+    POINT_NAMES,
     AngleTriple,
     MorleyConfiguration,
 )
-from .kernel import Circle, Line, Point, Triangle
+from .kernel import Circle, Point, Triangle
 from .verify import VerificationSummary
 
-# Point names in emission order.
-_POINT_ORDER = ("A", "B", "C", "A'", "B'", "C'", "I_a", "J_a", "I_b", "J_b", "I_c", "J_c")
 
-
-def _float_repr(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def _emit(value: Any, indent: int = 0) -> str:
-    pad = "  " * indent
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = "  " * (indent + 1)
-        items = [
-            f"{inner}{json.dumps(key)}: {_emit(item, indent + 1)}"
-            for key, item in value.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        if any(isinstance(item, (dict, list, tuple)) for item in value):
-            inner = "  " * (indent + 1)
-            items = [inner + _emit(item, indent + 1) for item in value]
-            return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-        return "[" + ", ".join(_emit(item, indent) for item in value) + "]"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return _float_repr(value)
-    if isinstance(value, str):
-        return json.dumps(value)
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+def _dump(doc: dict[str, Any]) -> str:
+    out = io.StringIO()
+    json.dump(doc, out, indent=2)
+    out.write("\n")
+    return out.getvalue()
 
 
 def _point_pair(p: Point) -> list[float]:
@@ -65,54 +42,36 @@ def _point_pair(p: Point) -> list[float]:
 
 def config_document(cfg: MorleyConfiguration) -> str:
     """Serialize a configuration; inverted exactly by parse_config_document."""
-    points = cfg.named_points()
     doc = {
-        "angles": {"a": cfg.angles.a, "b": cfg.angles.b, "c": cfg.angles.c},
-        "points": {name: _point_pair(points[name]) for name in _POINT_ORDER},
+        "angles": dict(zip("abc", cfg.angles.as_tuple())),
+        "points": {name: _point_pair(p) for name, p in cfg.named_points().items()},
         "arcs": {
-            key: {
-                "center": _point_pair(arc.center),
-                "radius": arc.radius,
-                "chord": list(ARC_CHORD_NAMES[key]),
-            }
-            for key, arc in cfg.arcs.items()
+            key: {"center": _point_pair(arc.center), "radius": arc.radius, "chord": list(chord)}
+            for (key, chord), arc in zip(ARC_CHORD_NAMES.items(), cfg.circles)
         },
         "lines": {key: list(names) for key, names in LINE_POINT_NAMES.items()},
-        "inner": ["A'", "B'", "C'"],
-        "outer": ["A", "B", "C"],
+        "inner": list(INNER_NAMES),
+        "outer": list(OUTER_NAMES),
     }
-    return _emit(doc) + "\n"
+    return _dump(doc)
 
 
 def parse_config_document(text: str) -> MorleyConfiguration:
-    """Rebuild a MorleyConfiguration from config_document output."""
+    """Rebuild a MorleyConfiguration from config_document output.
+
+    Arcs and side lines follow ARC_CHORD_NAMES and LINE_POINT_NAMES; the
+    document's "chord", "lines", "inner" and "outer" entries only
+    describe those tables to other readers.
+    """
     data = json.loads(text)
-    points = {name: Point(xy[0], xy[1]) for name, xy in data["points"].items()}
-    angles = AngleTriple(data["angles"]["a"], data["angles"]["b"], data["angles"]["c"])
-    inner = Triangle(points["A'"], points["B'"], points["C'"], ("A'", "B'", "C'"))
-    outer = Triangle(points["A"], points["B"], points["C"], ("A", "B", "C"))
-    arcs = {}
-    for key, arc in data["arcs"].items():
-        arcs[key] = Circle(Point(arc["center"][0], arc["center"][1]), arc["radius"])
-    lines = {}
-    for key, names in data["lines"].items():
-        lines[key] = Line(points[names[0]], points[names[1]])
+    points = {name: Point(*data["points"][name]) for name in POINT_NAMES}
+    arcs = data["arcs"]
     return MorleyConfiguration(
-        inner=inner,
-        angles=angles,
-        arc_a=arcs["a"],
-        arc_b=arcs["b"],
-        arc_c=arcs["c"],
-        i_a=points["I_a"],
-        j_a=points["J_a"],
-        i_b=points["I_b"],
-        j_b=points["J_b"],
-        i_c=points["I_c"],
-        j_c=points["J_c"],
-        line_ab=lines["AB"],
-        line_bc=lines["BC"],
-        line_ca=lines["CA"],
-        outer=outer,
+        angles=AngleTriple(*(data["angles"][key] for key in "abc")),
+        inner=Triangle(*(points[name] for name in INNER_NAMES), INNER_NAMES),
+        outer=Triangle(*(points[name] for name in OUTER_NAMES), OUTER_NAMES),
+        circles=tuple(Circle(Point(*arcs[key]["center"]), arcs[key]["radius"]) for key in ARC_CHORD_NAMES),
+        arc_points=tuple(points[name] for name in ARC_POINT_NAMES),
     )
 
 
@@ -135,7 +94,7 @@ def summary_document(summary: VerificationSummary) -> str:
             for report in summary.checks
         ],
     }
-    return _emit(doc) + "\n"
+    return _dump(doc)
 
 
 def forward_document(outer: Triangle, morley: Triangle) -> str:
@@ -147,4 +106,4 @@ def forward_document(outer: Triangle, morley: Triangle) -> str:
         "morley": list(morley.labels),
         "side_spread": side_spread(morley),
     }
-    return _emit(doc) + "\n"
+    return _dump(doc)

@@ -50,6 +50,12 @@ SUM_TOL = 1e-12
 EQUILATERAL_RTOL = 1e-9
 
 
+# The twelve labelled points of the figure, in the order that
+# named_points and the configuration document list them: the outer
+# vertices, the inner (Morley) vertices, then the two points on each arc.
+POINT_NAMES = ("A", "B", "C", "A'", "B'", "C'", "I_a", "J_a", "I_b", "J_b", "I_c", "J_c")
+OUTER_NAMES, INNER_NAMES, ARC_POINT_NAMES = POINT_NAMES[:3], POINT_NAMES[3:6], POINT_NAMES[6:]
+
 # Which named points span each arc's chord, which points define each
 # outer side line, and which outer vertices that line carries.
 ARC_CHORD_NAMES = {"a": ("C'", "B'"), "b": ("A'", "C'"), "c": ("B'", "A'")}
@@ -112,53 +118,36 @@ class MorleyConfiguration:
     """Every named object produced by the construction.
 
     ``inner`` is the given equilateral triangle A'B'C', ``outer`` the
-    constructed triangle ABC.  ``arc_a`` is the circle over chord C'B'
-    (seen under angle a), ``arc_b`` over A'C', ``arc_c`` over B'A'.
-    The points i_a/j_a sit on arc_a beyond C' and B' respectively, and
-    cyclically for the others.  The outer side lines are line_ab =
-    (I_a J_b), line_bc = (I_b J_c), line_ca = (I_c J_a).
+    constructed triangle ABC.  ``circles`` holds the three arcs in
+    ARC_CHORD_NAMES order: arc a over chord C'B' (seen under angle a),
+    arc b over A'C', arc c over B'A'.  ``arc_points`` holds I_a, J_a,
+    I_b, J_b, I_c, J_c in POINT_NAMES order; I_a and J_a sit on arc a
+    beyond C' and B' respectively, and cyclically for the others.  The
+    outer side lines follow LINE_POINT_NAMES: AB = (I_a J_b), BC =
+    (I_b J_c), CA = (I_c J_a).
     """
 
-    inner: Triangle
     angles: AngleTriple
-    arc_a: Circle
-    arc_b: Circle
-    arc_c: Circle
-    i_a: Point
-    j_a: Point
-    i_b: Point
-    j_b: Point
-    i_c: Point
-    j_c: Point
-    line_ab: Line
-    line_bc: Line
-    line_ca: Line
+    inner: Triangle
     outer: Triangle
+    circles: tuple[Circle, Circle, Circle]
+    arc_points: tuple[Point, Point, Point, Point, Point, Point]
 
     def named_points(self) -> dict[str, Point]:
-        """All twelve labelled points of the figure."""
-        return {
-            "A": self.outer.v1,
-            "B": self.outer.v2,
-            "C": self.outer.v3,
-            "A'": self.inner.v1,
-            "B'": self.inner.v2,
-            "C'": self.inner.v3,
-            "I_a": self.i_a,
-            "J_a": self.j_a,
-            "I_b": self.i_b,
-            "J_b": self.j_b,
-            "I_c": self.i_c,
-            "J_c": self.j_c,
-        }
+        """All twelve labelled points of the figure, in POINT_NAMES order."""
+        return dict(zip(POINT_NAMES, (*self.outer.vertices, *self.inner.vertices, *self.arc_points)))
 
     @property
     def arcs(self) -> dict[str, Circle]:
-        return {"a": self.arc_a, "b": self.arc_b, "c": self.arc_c}
+        return dict(zip(ARC_CHORD_NAMES, self.circles))
 
     @property
     def lines(self) -> dict[str, Line]:
-        return {"AB": self.line_ab, "BC": self.line_bc, "CA": self.line_ca}
+        return _side_lines(self.named_points())
+
+
+def _side_lines(points: dict[str, Point]) -> dict[str, Line]:
+    return {key: Line(points[p], points[q]) for key, (p, q) in LINE_POINT_NAMES.items()}
 
 
 def place_arc_points(p_near: Point, q_near: Point, circle: Circle, half_central: float) -> tuple[Point, Point]:
@@ -201,46 +190,26 @@ def construct(inner: Triangle, angles: AngleTriple) -> MorleyConfiguration:
         raise NotEquilateral(
             f"side lengths {lengths} spread more than {EQUILATERAL_RTOL:g} relative"
         )
-    a_pt, b_pt, c_pt = inner.vertices
-    a, b, c = angles.as_tuple()
+    inner = inner.with_labels(INNER_NAMES)
+    vertices = dict(zip(INNER_NAMES, inner.vertices))
+    circles: list[Circle] = []
+    arc_points: list[Point] = []
+    for (p_name, q_name), angle, far_point in zip(ARC_CHORD_NAMES.values(), angles.as_tuple(), inner.vertices):
+        p, q = vertices[p_name], vertices[q_name]
+        circle = chord_arc_circle(p, q, angle, far_point)
+        circles.append(circle)
+        arc_points.extend(place_arc_points(p, q, circle, angle))
 
-    arc_a = chord_arc_circle(c_pt, b_pt, a, a_pt)
-    i_a, j_a = place_arc_points(c_pt, b_pt, arc_a, a)
-    arc_b = chord_arc_circle(a_pt, c_pt, b, b_pt)
-    i_b, j_b = place_arc_points(a_pt, c_pt, arc_b, b)
-    arc_c = chord_arc_circle(b_pt, a_pt, c, c_pt)
-    i_c, j_c = place_arc_points(b_pt, a_pt, arc_c, c)
-
+    points = dict(zip(ARC_POINT_NAMES, arc_points))
     side = inner.scale()
-    for p, q, name in ((i_a, j_b, "AB"), (i_b, j_c, "BC"), (i_c, j_a, "CA")):
-        if p.distance_to(q) <= EPS_LENGTH * side:
+    for name, (p_name, q_name) in LINE_POINT_NAMES.items():
+        if points[p_name].distance_to(points[q_name]) <= EPS_LENGTH * side:
             raise DegenerateLine(
                 f"points defining side line {name} coincide; the angle triple "
                 f"lies on the degenerate set with one angle equal to pi/6"
             )
-    line_ab = Line(i_a, j_b)
-    line_bc = Line(i_b, j_c)
-    line_ca = Line(i_c, j_a)
-
-    vertex_a = intersect_lines(line_ab, line_ca)
-    vertex_b = intersect_lines(line_bc, line_ab)
-    vertex_c = intersect_lines(line_ca, line_bc)
-    outer = Triangle(vertex_a, vertex_b, vertex_c, ("A", "B", "C"))
-
-    return MorleyConfiguration(
-        inner=inner.with_labels(("A'", "B'", "C'")),
-        angles=angles,
-        arc_a=arc_a,
-        arc_b=arc_b,
-        arc_c=arc_c,
-        i_a=i_a,
-        j_a=j_a,
-        i_b=i_b,
-        j_b=j_b,
-        i_c=i_c,
-        j_c=j_c,
-        line_ab=line_ab,
-        line_bc=line_bc,
-        line_ca=line_ca,
-        outer=outer,
-    )
+    # Each vertex is the meet of the side line it starts and the one
+    # before it: A on AB and CA, B on BC and AB, C on CA and BC.
+    lines = list(_side_lines(points).values())
+    outer = Triangle(*(intersect_lines(lines[k], lines[k - 1]) for k in range(3)), OUTER_NAMES)
+    return MorleyConfiguration(angles, inner, outer, tuple(circles), tuple(arc_points))

@@ -231,31 +231,35 @@ def rotate_about(p: Point, center: Point, theta: float) -> Point:
     )
 
 
-def _ray_to(vertex: Point, target: Point, scale: float) -> Point:
-    d = target - vertex
-    if d.norm() <= EPS_LENGTH * scale:
-        raise DegenerateRay(f"point {target} coincides with vertex {vertex}")
-    return d
+def _scaled_rays(vertex: Point, p: Point, q: Point) -> tuple[float, float, float, float]:
+    """Rays vertex->p and vertex->q as (ux, uy, vx, vy), multiplied by the
+    power of two that brings the extent of the three points into [0.5, 1).
+
+    The scaling is exact, so the angle between the rays is unchanged,
+    and their cross and dot products stay finite at any input scale.
+    """
+    to_p = vertex.distance_to(p)
+    to_q = vertex.distance_to(q)
+    scale = max(to_p, to_q, p.distance_to(q))
+    if scale == 0.0:
+        raise DegenerateRay("all three points coincide")
+    for target, length in ((p, to_p), (q, to_q)):
+        if length <= EPS_LENGTH * scale:
+            raise DegenerateRay(f"point {target} coincides with vertex {vertex}")
+    k = math.ldexp(1.0, -math.frexp(scale)[1])
+    return ((p.x - vertex.x) * k, (p.y - vertex.y) * k, (q.x - vertex.x) * k, (q.y - vertex.y) * k)
 
 
 def angle_at(vertex: Point, p: Point, q: Point) -> float:
     """Unsigned angle p-vertex-q in [0, pi]."""
-    scale = max(vertex.distance_to(p), vertex.distance_to(q), p.distance_to(q))
-    if scale == 0.0:
-        raise DegenerateRay("all three points coincide")
-    u = _ray_to(vertex, p, scale)
-    v = _ray_to(vertex, q, scale)
-    return math.atan2(abs(u.cross(v)), u.dot(v))
+    ux, uy, vx, vy = _scaled_rays(vertex, p, q)
+    return math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy)
 
 
 def signed_angle(vertex: Point, p: Point, q: Point) -> float:
     """Rotation from ray vertex->p to ray vertex->q, ccw positive, in (-pi, pi]."""
-    scale = max(vertex.distance_to(p), vertex.distance_to(q), p.distance_to(q))
-    if scale == 0.0:
-        raise DegenerateRay("all three points coincide")
-    u = _ray_to(vertex, p, scale)
-    v = _ray_to(vertex, q, scale)
-    theta = math.atan2(u.cross(v), u.dot(v))
+    ux, uy, vx, vy = _scaled_rays(vertex, p, q)
+    theta = math.atan2(ux * vy - uy * vx, ux * vx + uy * vy)
     if theta <= -math.pi:
         theta = math.pi
     return theta

@@ -17,12 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .forward import morley_triangle
-from .inverse import (
-    ARC_CHORD_NAMES,
-    LINE_POINT_NAMES,
-    LINE_VERTEX_NAMES,
-    MorleyConfiguration,
-)
+from .inverse import ARC_CHORD_NAMES, LINE_POINT_NAMES, LINE_VERTEX_NAMES, MorleyConfiguration
 from .kernel import Circle, GeometryError, Point, Triangle, signed_angle
 
 _COL_ARC = "#9aa0a6"
@@ -182,9 +177,7 @@ def _render_config(cfg: MorleyConfiguration, style: RenderStyle) -> str:
     scene_points = list(points.values())
 
     arcs = []
-    for key in ("a", "b", "c"):
-        circle = cfg.arcs[key]
-        p_name, q_name = ARC_CHORD_NAMES[key]
+    for circle, (p_name, q_name) in zip(cfg.circles, ARC_CHORD_NAMES.values()):
         start, end = points[p_name], points[q_name]
         short_way = 1.0 if signed_angle(circle.center, start, end) > 0.0 else -1.0
         # The drawn arc is the major one: from start the long way round,
@@ -211,8 +204,7 @@ def _render_config(cfg: MorleyConfiguration, style: RenderStyle) -> str:
                 f'<path class="arc" d="{path}" fill="none" stroke="{_COL_ARC}"'
                 f' stroke-width="{_f(stroke)}" stroke-dasharray="{_f(4.0 * stroke)} {_f(3.0 * stroke)}"/>'
             )
-    for key in ("AB", "BC", "CA"):
-        i_name, j_name = LINE_POINT_NAMES[key]
+    for key, (i_name, j_name) in LINE_POINT_NAMES.items():
         carried = [points[name] for name in LINE_VERTEX_NAMES[key]]
         lo, hi = _carrier_segment(points[i_name], points[j_name], carried)
         elements.append(_line_element(lo, hi, "construction-line", _COL_CONSTRUCTION, stroke))
@@ -226,12 +218,12 @@ def _render_config(cfg: MorleyConfiguration, style: RenderStyle) -> str:
         elements.append(
             _line_element(outer[i], outer[(i + 1) % 3], "edge-outer", _COL_OUTER, 1.5 * stroke)
         )
-    for name in ("I_a", "J_a", "I_b", "J_b", "I_c", "J_c"):
-        elements.append(_circle_element(points[name], radius, "point-ij", _COL_CONSTRUCTION))
-    for name in ("A'", "B'", "C'"):
-        elements.append(_circle_element(points[name], radius, "point-vertex", _COL_INNER))
-    for name in ("A", "B", "C"):
-        elements.append(_circle_element(points[name], radius, "point-vertex", _COL_OUTER))
+    for p in cfg.arc_points:
+        elements.append(_circle_element(p, radius, "point-ij", _COL_CONSTRUCTION))
+    for p in inner:
+        elements.append(_circle_element(p, radius, "point-vertex", _COL_INNER))
+    for p in outer:
+        elements.append(_circle_element(p, radius, "point-vertex", _COL_OUTER))
     if style.show_labels:
         positions = _label_positions(points, 2.4 * radius)
         for name in points:

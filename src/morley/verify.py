@@ -407,4 +407,4 @@ def run_battery(
             _prefixed(check_similarity_invariance(triangle, theta, scale, shift, length_rtol), prefix)
         )
     checks.extend(limit_sequence(inner).checks)
-    return VerificationSummary(tuple(checks), seed, samples, all(c.passed for c in checks))
+    return summarize(checks, seed, samples)

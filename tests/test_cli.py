@@ -182,11 +182,15 @@ class TestRenderCommand:
         assert rc == 2
 
     def test_unparseable_document_exits_two(self, capsys, tmp_path):
+        cfg = construct(equilateral_triangle(), AngleTriple.from_degrees(20.0, 15.0, 25.0))
+        short_point = json.loads(config_document(cfg))
+        short_point["points"]["A"] = [1.0]
         doc = tmp_path / "cfg.json"
-        doc.write_text("{}")
-        rc = main(["render", "--json", str(doc), "--svg", str(tmp_path / "x.svg")])
-        assert rc == 2
-        assert "cannot parse" in capsys.readouterr().err
+        for text in ("{}", json.dumps(short_point)):
+            doc.write_text(text)
+            rc = main(["render", "--json", str(doc), "--svg", str(tmp_path / "x.svg")])
+            assert rc == 2
+            assert "cannot parse" in capsys.readouterr().err
 
     def test_missing_file_exits_two(self, capsys, tmp_path):
         rc = main(["render", "--json", str(tmp_path / "nope.json"), "--svg", str(tmp_path / "x.svg")])

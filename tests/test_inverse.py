@@ -147,7 +147,8 @@ class TestConstructSymmetric:
         b, c = self.cfg.outer.v2, self.cfg.outer.v3
         assert b.x == pytest.approx(1.0 - c.x, abs=1e-12)
         assert b.y == pytest.approx(c.y, abs=1e-12)
-        assert self.cfg.i_a.x == pytest.approx(1.0 - self.cfg.j_a.x, abs=1e-12)
+        pts = self.cfg.named_points()
+        assert pts["I_a"].x == pytest.approx(1.0 - pts["J_a"].x, abs=1e-12)
 
 
 class TestConstructAsymmetric:
@@ -162,25 +163,24 @@ class TestConstructAsymmetric:
             assert self.cfg.outer.interior_angle(i) == pytest.approx(want, abs=1e-9)
 
     def test_placed_points_on_their_arcs(self):
-        pairs = [
-            (self.cfg.arc_a, (self.cfg.i_a, self.cfg.j_a)),
-            (self.cfg.arc_b, (self.cfg.i_b, self.cfg.j_b)),
-            (self.cfg.arc_c, (self.cfg.i_c, self.cfg.j_c)),
-        ]
-        for circle, pts in pairs:
-            for pt in pts:
+        pts = self.cfg.named_points()
+        arcs = self.cfg.arcs
+        assert list(arcs) == ["a", "b", "c"]
+        for key, circle in arcs.items():
+            for pt in (pts["I_" + key], pts["J_" + key]):
                 gap = abs(circle.center.distance_to(pt) - circle.radius)
                 assert gap <= 1e-12 * circle.radius
 
     def test_vertices_on_their_side_lines(self):
         scale = self.cfg.outer.scale()
         a, b, c = self.cfg.outer.vertices
-        assert self.cfg.line_ab.distance_to_point(a) <= 1e-12 * scale
-        assert self.cfg.line_ab.distance_to_point(b) <= 1e-12 * scale
-        assert self.cfg.line_bc.distance_to_point(b) <= 1e-12 * scale
-        assert self.cfg.line_bc.distance_to_point(c) <= 1e-12 * scale
-        assert self.cfg.line_ca.distance_to_point(c) <= 1e-12 * scale
-        assert self.cfg.line_ca.distance_to_point(a) <= 1e-12 * scale
+        lines = self.cfg.lines
+        assert lines["AB"].distance_to_point(a) <= 1e-12 * scale
+        assert lines["AB"].distance_to_point(b) <= 1e-12 * scale
+        assert lines["BC"].distance_to_point(b) <= 1e-12 * scale
+        assert lines["BC"].distance_to_point(c) <= 1e-12 * scale
+        assert lines["CA"].distance_to_point(c) <= 1e-12 * scale
+        assert lines["CA"].distance_to_point(a) <= 1e-12 * scale
 
     def test_inner_vertices_trisect_outer_angles(self):
         pts = self.cfg.named_points()

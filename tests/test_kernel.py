@@ -161,6 +161,16 @@ class TestOrientation:
             for k in (1e-6, 1e6):
                 assert orientation(k * p, k * q, k * r) == base
 
+    def test_angles_are_scale_invariant(self):
+        # Powers of two near 1e+-150 and 1e+-301 scale coordinates exactly,
+        # so the angles must agree to the bit.
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            p, q, r = (Point(*rng.uniform(-1.0, 1.0, 2)) for _ in range(3))
+            for k in (2.0**-1000, 2.0**-500, 2.0**500, 2.0**1000):
+                assert angle_at(k * p, k * q, k * r) == angle_at(p, q, r)
+                assert signed_angle(k * p, k * q, k * r) == signed_angle(p, q, r)
+
 
 class TestAngleAt:
     def test_right_angle(self):

@@ -227,11 +227,14 @@ class TestLimit:
             check_limit_perpendicular(1e-8)
 
     def test_sequence_is_monotone(self):
-        summary = limit_sequence()
-        assert summary.all_pass
-        mono = by_name(summary, "limit monotone")
-        assert mono.measured == 0.0 and mono.tol == 0.0
-        assert len(summary.checks) == 10
+        # At side 1e150 the arc centres are far enough out that unscaled
+        # ray products overflow.
+        for side in (1.0, 1e150):
+            summary = limit_sequence(equilateral_triangle(side))
+            assert summary.all_pass, side
+            mono = by_name(summary, "limit monotone")
+            assert mono.measured == 0.0 and mono.tol == 0.0
+            assert len(summary.checks) == 10
 
     def test_sequence_validation(self):
         with pytest.raises(ValueError):
