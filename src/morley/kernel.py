@@ -246,7 +246,8 @@ def _scaled_rays(vertex: Point, p: Point, q: Point) -> tuple[float, float, float
     for target, length in ((p, to_p), (q, to_q)):
         if length <= EPS_LENGTH * scale:
             raise DegenerateRay(f"point {target} coincides with vertex {vertex}")
-    k = math.ldexp(1.0, -math.frexp(scale)[1])
+    # Capped so that the factor itself stays finite for a subnormal scale.
+    k = math.ldexp(1.0, min(-math.frexp(scale)[1], 1023))
     return ((p.x - vertex.x) * k, (p.y - vertex.y) * k, (q.x - vertex.x) * k, (q.y - vertex.y) * k)
 
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from morley.kernel import (
@@ -209,6 +209,7 @@ class TestSignedAngle:
 
     @settings(max_examples=300, deadline=None)
     @given(points, points, points)
+    @example(Point(0.0, 2.225073858507203e-309), Point(0.0, 0.0), Point(0.0, 0.0))
     def test_magnitude_matches_unsigned(self, v, p, q):
         try:
             s = signed_angle(v, p, q)
