@@ -8,7 +8,7 @@ form an equilateral triangle.  This script checks that on a 3-4-5 right
 triangle and on a batch of random ones, then draws the picture.
 """
 
-import numpy as np
+import random
 
 from morley import (
     Point,
@@ -33,7 +33,7 @@ for label, vertex in zip(inner.labels, inner.vertices):
 print(f"relative side spread: {side_spread(inner):.3e}")
 
 # 3. The same holds for arbitrary triangles.
-rng = np.random.default_rng(7)
+rng = random.Random(7)
 worst = max(side_spread(morley_triangle(random_triangle(rng))) for _ in range(500))
 print(f"worst spread over 500 random triangles: {worst:.3e}")
 

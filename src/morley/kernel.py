@@ -88,6 +88,18 @@ class Point:
         return math.hypot(self.x - other.x, self.y - other.y)
 
 
+def unit_scale(extent: float) -> float:
+    """The power of two that brings a positive finite extent into [0.5, 1).
+
+    Multiplying coordinates by it is exact, so cross and dot products of
+    the scaled displacements are the unscaled ones times an exact power
+    of two, and they stay finite at any input scale.  Returns 1 for a
+    zero extent.
+    """
+    # Capped so that the factor itself stays finite for a subnormal extent.
+    return math.ldexp(1.0, min(-math.frexp(extent)[1], 1023))
+
+
 def midpoint(p: Point, q: Point) -> Point:
     return Point((p.x + q.x) / 2.0, (p.y + q.y) / 2.0)
 
@@ -196,11 +208,13 @@ def orientation(p: Point, q: Point, r: Point) -> int:
     """Sign of the turn p -> q -> r: +1 left, -1 right, 0 collinear.
 
     Collinearity is relative: the cross product is compared against
-    EPS_ORIENT times the squared extent of the three points.
+    EPS_ORIENT times the squared extent of the three points, both taken
+    after multiplying by the extent's unit_scale.
     """
-    cross = (q - p).cross(r - p)
     extent = max(p.distance_to(q), q.distance_to(r), r.distance_to(p))
-    if abs(cross) <= EPS_ORIENT * extent * extent:
+    k = unit_scale(extent)
+    cross = ((q.x - p.x) * k) * ((r.y - p.y) * k) - ((q.y - p.y) * k) * ((r.x - p.x) * k)
+    if abs(cross) <= EPS_ORIENT * (extent * k) * (extent * k):
         return 0
     return 1 if cross > 0.0 else -1
 
@@ -209,14 +223,20 @@ def intersect_lines(l1: Line, l2: Line) -> Point:
     """Intersection point of two lines.
 
     Raises NearParallel when the normalized direction cross product
-    falls below EPS_PARALLEL.
+    falls below EPS_PARALLEL.  The products are taken after multiplying
+    by the unit_scale of the longer direction, which leaves the
+    intersection parameter unchanged.
     """
     d1 = l1.direction()
     d2 = l2.direction()
-    denom = d1.cross(d2)
-    if abs(denom) <= EPS_PARALLEL * d1.norm() * d2.norm():
+    n1, n2 = d1.norm(), d2.norm()
+    k = unit_scale(max(n1, n2))
+    d1x, d1y, d2x, d2y = d1.x * k, d1.y * k, d2.x * k, d2.y * k
+    denom = d1x * d2y - d1y * d2x
+    if abs(denom) <= EPS_PARALLEL * (n1 * k) * (n2 * k):
         raise NearParallel(f"lines {l1} and {l2} are (nearly) parallel")
-    t = (l2.p - l1.p).cross(d2) / denom
+    wx, wy = (l2.p.x - l1.p.x) * k, (l2.p.y - l1.p.y) * k
+    t = (wx * d2y - wy * d2x) / denom
     return l1.p + d1 * t
 
 
@@ -233,10 +253,8 @@ def rotate_about(p: Point, center: Point, theta: float) -> Point:
 
 def _scaled_rays(vertex: Point, p: Point, q: Point) -> tuple[float, float, float, float]:
     """Rays vertex->p and vertex->q as (ux, uy, vx, vy), multiplied by the
-    power of two that brings the extent of the three points into [0.5, 1).
-
-    The scaling is exact, so the angle between the rays is unchanged,
-    and their cross and dot products stay finite at any input scale.
+    unit_scale of the extent of the three points, so the angle between
+    them is unchanged and their cross and dot products stay finite.
     """
     to_p = vertex.distance_to(p)
     to_q = vertex.distance_to(q)
@@ -246,8 +264,7 @@ def _scaled_rays(vertex: Point, p: Point, q: Point) -> tuple[float, float, float
     for target, length in ((p, to_p), (q, to_q)):
         if length <= EPS_LENGTH * scale:
             raise DegenerateRay(f"point {target} coincides with vertex {vertex}")
-    # Capped so that the factor itself stays finite for a subnormal scale.
-    k = math.ldexp(1.0, min(-math.frexp(scale)[1], 1023))
+    k = unit_scale(scale)
     return ((p.x - vertex.x) * k, (p.y - vertex.y) * k, (q.x - vertex.x) * k, (q.y - vertex.y) * k)
 
 

@@ -25,10 +25,9 @@ plain unsigned angles for every admissible triple.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .forward import apply_similarity, morley_triangle, side_spread
 from .inverse import (
@@ -43,6 +42,7 @@ from .kernel import (
     Triangle,
     angle_at,
     signed_angle,
+    unit_scale,
 )
 
 DEFAULT_SEED = 42
@@ -274,8 +274,11 @@ def _limit_checks(a_small: float, inner: Triangle, tol: float | None) -> tuple[l
 
     # As a -> 0 the line (I_a J_b) turns perpendicular to (C' B'), and
     # both points collapse onto S, the reflection of B' through C'.
-    u = pts["J_b"] - pts["I_a"]
-    v = pts["B'"] - pts["C'"]
+    # Both directions are brought to unit scale so that their products
+    # neither overflow nor underflow at any side length.
+    k = unit_scale(side)
+    u = (pts["J_b"] - pts["I_a"]) * k
+    v = (pts["B'"] - pts["C'"]) * k
     between = math.atan2(abs(u.cross(v)), abs(u.dot(v)))
     s_point = pts["C'"] + (pts["C'"] - pts["B'"])
     tag = f"limit[a={a_small:g}]"
@@ -323,11 +326,18 @@ def limit_sequence(inner: Triangle | None = None, a_values: Sequence[float] = LI
 
 def sample_angle_triples(n: int, seed: int = DEFAULT_SEED, min_angle: float = MIN_SAMPLE_ANGLE) -> tuple[AngleTriple, ...]:
     """n angle triples drawn uniformly from the admissible simplex."""
-    rng = np.random.default_rng(seed)
-    return _sample_triples(rng, n, min_angle)
+    return _sample_triples(_seeded(seed), n, min_angle)
 
 
-def _sample_triples(rng: np.random.Generator, n: int, min_angle: float) -> tuple[AngleTriple, ...]:
+def _seeded(seed: int) -> random.Random:
+    """The battery's generator; it draws only through ``uniform``, whose
+    stream for a given seed is stable across Python versions."""
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    return random.Random(seed)
+
+
+def _sample_triples(rng: random.Random, n: int, min_angle: float) -> tuple[AngleTriple, ...]:
     if n < 1:
         raise ValueError(f"need at least one sample, got {n}")
     third = math.pi / 3.0
@@ -341,28 +351,27 @@ def _sample_triples(rng: np.random.Generator, n: int, min_angle: float) -> tuple
     return tuple(out)
 
 
-def random_triangle(rng: np.random.Generator, box: float = 10.0, min_angle: float = math.radians(3.0)) -> Triangle:
-    """Uniform vertices in a square, rejecting thin triangles."""
+def random_triangle(rng: random.Random, box: float = 10.0, min_angle: float = math.radians(3.0)) -> Triangle:
+    """Uniform vertices in a square, rejecting thin triangles.
+
+    Draws x then y of each vertex with ``rng.uniform``.
+    """
     while True:
-        coords = rng.uniform(-box, box, size=(3, 2))
         try:
-            candidate = Triangle(
-                Point(coords[0, 0], coords[0, 1]),
-                Point(coords[1, 0], coords[1, 1]),
-                Point(coords[2, 0], coords[2, 1]),
-            )
+            candidate = Triangle(*(Point(rng.uniform(-box, box), rng.uniform(-box, box)) for _ in range(3)))
         except DegenerateTriangle:
             continue
         if candidate.min_interior_angle() >= min_angle:
             return candidate
 
 
-def random_similarity(rng: np.random.Generator) -> tuple[float, float, Point]:
-    """Rotation angle, scale factor and translation for a random map."""
+def random_similarity(rng: random.Random) -> tuple[float, float, Point]:
+    """Rotation angle, scale factor and translation for a random map,
+    drawn in that order with ``rng.uniform``."""
     theta = rng.uniform(0.0, 2.0 * math.pi)
     scale = rng.uniform(0.1, 10.0)
-    shift = rng.uniform(-10.0, 10.0, size=2)
-    return theta, scale, Point(shift[0], shift[1])
+    shift = Point(rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0))
+    return theta, scale, shift
 
 
 def _prefixed(report: CheckReport, prefix: str) -> CheckReport:
@@ -386,7 +395,7 @@ def run_battery(
     prefixed with the sample index.
     """
     inner = equilateral_triangle(side)
-    rng = np.random.default_rng(seed)
+    rng = _seeded(seed)
     triples = _sample_triples(rng, samples, MIN_SAMPLE_ANGLE)
     checks: list[CheckReport] = []
     for index, angles in enumerate(triples):

@@ -5,8 +5,8 @@ and are not loosened anywhere else.
 """
 
 import math
+import random
 
-import numpy as np
 import pytest
 
 from morley.document import config_document, summary_document
@@ -121,7 +121,7 @@ def test_criterion_3_angle_identities(sweep):
 
 
 def test_criterion_4_forward_equilateral():
-    rng = np.random.default_rng(SWEEP_SEED)
+    rng = random.Random(SWEEP_SEED)
     worst = 0.0
     for _ in range(1000):
         triangle = random_triangle(rng)
@@ -133,7 +133,7 @@ def test_criterion_4_forward_equilateral():
 
 
 def test_criterion_5_similarity():
-    rng = np.random.default_rng(SWEEP_SEED)
+    rng = random.Random(SWEEP_SEED)
     worst = 0.0
     for _ in range(100):
         triangle = random_triangle(rng)
@@ -184,15 +184,13 @@ def test_criterion_7_determinism():
 
 
 def test_criterion_8_kernel_micro_suite():
-    rng = np.random.default_rng(SWEEP_SEED)
+    rng = random.Random(SWEEP_SEED)
     produced = 0
     worst_on_circle = 0.0
     worst_inscribed = 0.0
     sides_correct = True
     while produced < 10000:
-        p = Point(*rng.uniform(-10.0, 10.0, 2))
-        q = Point(*rng.uniform(-10.0, 10.0, 2))
-        far = Point(*rng.uniform(-10.0, 10.0, 2))
+        p, q, far = (Point(rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0)) for _ in range(3))
         half = rng.uniform(0.05, 1.5)
         try:
             circle = chord_arc_circle(p, q, half, far)

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -207,3 +211,11 @@ class TestTopLevel:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "construct" in capsys.readouterr().out
+
+    def test_import_loads_no_numpy(self):
+        # Importing numpy would cost most of a cold `morley` start-up.
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        code = "import morley.cli, sys; sys.exit('numpy' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr

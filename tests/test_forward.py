@@ -1,6 +1,6 @@
 import math
+import random
 
-import numpy as np
 import pytest
 
 from morley.forward import (
@@ -69,7 +69,7 @@ class TestTrisectors:
         assert first.direction.x > 0.0
 
     def test_rays_divide_angle_in_thirds(self):
-        rng = np.random.default_rng(21)
+        rng = random.Random(21)
         for _ in range(100):
             t = random_triangle(rng)
             for index in (1, 2, 3):
@@ -137,7 +137,7 @@ class TestMorleyTriangle:
         assert dist_to_side(m.v3, t.v1, t.v2) < dist_to_side(m.v1, t.v1, t.v2)
 
     def test_morley_triangle_inside_input(self):
-        rng = np.random.default_rng(22)
+        rng = random.Random(22)
         for _ in range(50):
             t = random_triangle(rng)
             m = morley_triangle(t)
@@ -148,7 +148,7 @@ class TestMorleyTriangle:
                 assert orientation(t.v3, t.v1, p) == sign
 
     def test_equilateral_across_random_triangles(self):
-        rng = np.random.default_rng(23)
+        rng = random.Random(23)
         worst = 0.0
         for _ in range(300):
             worst = max(worst, side_spread(morley_triangle(random_triangle(rng))))
@@ -179,7 +179,7 @@ class TestApplySimilarity:
             apply_similarity(unit_equilateral(), 0.0, 0.0, Point(0.0, 0.0))
 
     def test_commutes_with_trisection(self):
-        rng = np.random.default_rng(24)
+        rng = random.Random(24)
         for _ in range(50):
             t = random_triangle(rng)
             theta, scale, shift = random_similarity(rng)

@@ -1,7 +1,7 @@
 import json
 import math
+import random
 
-import numpy as np
 import pytest
 
 from morley.document import summary_document
@@ -198,7 +198,7 @@ class TestSimilarityInvariance:
 
 class TestEquilateralForward:
     def test_random_triangle(self):
-        rng = np.random.default_rng(31)
+        rng = random.Random(31)
         report = check_equilateral_forward(random_triangle(rng))
         assert report.name == "forward equilateral"
         assert report.passed
@@ -227,9 +227,9 @@ class TestLimit:
             check_limit_perpendicular(1e-8)
 
     def test_sequence_is_monotone(self):
-        # At side 1e150 the arc centres are far enough out that unscaled
-        # ray products overflow.
-        for side in (1.0, 1e150):
+        # From side 1e150 up unscaled products of coordinates overflow, and
+        # from 1e-200 down they underflow.
+        for side in (1.0, 1e150, 1e200, 1e-200, 1e300, 1e-300):
             summary = limit_sequence(equilateral_triangle(side))
             assert summary.all_pass, side
             mono = by_name(summary, "limit monotone")
@@ -260,7 +260,7 @@ class TestSampling:
             sample_angle_triples(0)
 
     def test_random_triangle_respects_minimum_angle(self):
-        rng = np.random.default_rng(33)
+        rng = random.Random(33)
         for _ in range(50):
             t = random_triangle(rng)
             assert t.min_interior_angle() >= math.radians(3.0)
