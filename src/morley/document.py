@@ -30,8 +30,10 @@ from .verify import VerificationSummary
 
 
 def _dump(doc: dict[str, Any]) -> str:
+    # The encoder json.dump would use, with its chunks handed to the buffer
+    # in one call instead of json.dump's Python-level write loop.
     out = io.StringIO()
-    json.dump(doc, out, indent=2)
+    out.writelines(json.JSONEncoder(indent=2).iterencode(doc))
     out.write("\n")
     return out.getvalue()
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .forward import apply_similarity, morley_triangle, side_spread
@@ -220,9 +220,10 @@ def check_outer_angles(cfg: MorleyConfiguration, tol: float = ANGLE_TOL) -> Veri
 def check_roundtrip(inner: Triangle, angles: AngleTriple, rtol: float = LENGTH_RTOL) -> CheckReport:
     """Construct, trisect independently, and compare with the input.
 
-    Measured value is the largest vertex mismatch between the input
-    triangle and the Morley triangle of the constructed one, relative
-    to the input's side length.
+    The configuration is built here from ``inner`` and ``angles``, not
+    taken from the caller.  Measured value is the largest vertex
+    mismatch between the input triangle and the Morley triangle of the
+    constructed one, relative to the input's side length.
     """
     cfg = construct(inner, angles)
     recovered = morley_triangle(cfg.outer)
@@ -234,14 +235,16 @@ def check_roundtrip(inner: Triangle, angles: AngleTriple, rtol: float = LENGTH_R
     return check("roundtrip", worst / scale, 0.0, rtol)
 
 
-def check_equilateral_forward(triangle: Triangle, rtol: float = LENGTH_RTOL) -> CheckReport:
-    """Side spread of the trisector triangle of an arbitrary triangle."""
-    spread = side_spread(morley_triangle(triangle))
+def check_equilateral_forward(trisected: Triangle, rtol: float = LENGTH_RTOL) -> CheckReport:
+    """Side spread of ``trisected``, the trisector triangle
+    (``morley_triangle``) of an arbitrary triangle."""
+    spread = side_spread(trisected)
     return check("forward equilateral", spread, 0.0, rtol)
 
 
 def check_similarity_invariance(
     triangle: Triangle,
+    trisected: Triangle,
     theta: float,
     scale: float,
     translation: Point,
@@ -249,13 +252,14 @@ def check_similarity_invariance(
 ) -> CheckReport:
     """Trisecting commutes with rotating, scaling and translating.
 
-    Measured value is the largest vertex distance between "transform
-    then trisect" and "trisect then transform", relative to the
-    transformed triangle's side length.
+    ``trisected`` is ``morley_triangle(triangle)``; the check trisects
+    only the transformed triangle.  Measured value is the largest vertex
+    distance between "transform then trisect" and "trisect then
+    transform", relative to the transformed triangle's side length.
     """
     moved = apply_similarity(triangle, theta, scale, translation)
     direct = morley_triangle(moved)
-    pushed = apply_similarity(morley_triangle(triangle), theta, scale, translation)
+    pushed = apply_similarity(trisected, theta, scale, translation)
     ref = moved.scale()
     worst = max(u.distance_to(v) for u, v in zip(direct.vertices, pushed.vertices))
     return check("similarity", worst / ref, 0.0, rtol)
@@ -375,7 +379,7 @@ def random_similarity(rng: random.Random) -> tuple[float, float, Point]:
 
 
 def _prefixed(report: CheckReport, prefix: str) -> CheckReport:
-    return replace(report, name=prefix + report.name)
+    return CheckReport(prefix + report.name, report.measured, report.expected, report.tol, report.passed, report.mode)
 
 
 def run_battery(
@@ -390,9 +394,9 @@ def run_battery(
 
     Each sample constructs a configuration from a random angle triple
     on the unit equilateral triangle and runs every per-configuration
-    check; it also trisects an unrelated random triangle and checks
-    equilaterality and similarity commutation.  Check names are
-    prefixed with the sample index.
+    check; it also trisects an unrelated random triangle once and checks
+    that result for equilaterality and similarity commutation.  Check
+    names are prefixed with the sample index.
     """
     inner = equilateral_triangle(side)
     rng = _seeded(seed)
@@ -410,10 +414,11 @@ def run_battery(
         checks.append(_prefixed(check_roundtrip(inner, angles, length_rtol), prefix))
 
         triangle = random_triangle(rng)
-        checks.append(_prefixed(check_equilateral_forward(triangle, length_rtol), prefix))
+        trisected = morley_triangle(triangle)
+        checks.append(_prefixed(check_equilateral_forward(trisected, length_rtol), prefix))
         theta, scale, shift = random_similarity(rng)
         checks.append(
-            _prefixed(check_similarity_invariance(triangle, theta, scale, shift, length_rtol), prefix)
+            _prefixed(check_similarity_invariance(triangle, trisected, theta, scale, shift, length_rtol), prefix)
         )
     checks.extend(limit_sequence(inner).checks)
     return summarize(checks, seed, samples)

@@ -138,7 +138,7 @@ def test_criterion_5_similarity():
     for _ in range(100):
         triangle = random_triangle(rng)
         theta, scale, shift = random_similarity(rng)
-        result = check_similarity_invariance(triangle, theta, scale, shift, rtol=1e-9)
+        result = check_similarity_invariance(triangle, morley_triangle(triangle), theta, scale, shift, rtol=1e-9)
         worst = max(worst, result.measured)
         if not result.passed:
             break

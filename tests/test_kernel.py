@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -54,8 +55,22 @@ def test_point_rejects_non_finite():
 
 def test_point_coordinates_are_plain_floats():
     np = pytest.importorskip("numpy")
-    p = Point(np.float64(1.5), 2)
+    p = Point(np.float64(1.5), np.int64(2))
     assert type(p.x) is float and type(p.y) is float
+
+
+def test_point_int_coordinates_become_floats():
+    p = Point(1, 2)
+    assert type(p.x) is float and type(p.y) is float
+    assert p == Point(1.0, 2.0) and hash(p) == hash(Point(1.0, 2.0))
+    assert repr(p) == "Point(x=1.0, y=2.0)"
+
+
+def test_point_is_frozen_and_slotted():
+    p = Point(1.0, 2.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.x = 3.0
+    assert not hasattr(p, "__dict__")
 
 
 def test_line_needs_distinct_points():

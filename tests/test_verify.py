@@ -1,15 +1,23 @@
 import json
 import math
 import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
+import morley.verify
 from morley.document import summary_document
+from morley.forward import apply_similarity, morley_triangle, side_spread
 from morley.inverse import AngleTriple, construct, equilateral_triangle
 from morley.kernel import Point, Triangle
 from morley.verify import (
     ANGLE_TOL,
+    ISOSCELES_RTOL,
+    LENGTH_RTOL,
+    MIN_SAMPLE_ANGLE,
     CheckReport,
+    _sample_triples,
     check,
     check_angle_identities,
     check_equilateral_forward,
@@ -20,6 +28,7 @@ from morley.verify import (
     check_similarity_invariance,
     limit_sequence,
     polygon_interior_angles,
+    random_similarity,
     random_triangle,
     run_battery,
     sample_angle_triples,
@@ -187,19 +196,19 @@ class TestRoundtrip:
 class TestSimilarityInvariance:
     def test_identity_map_is_exact(self):
         t = Triangle(Point(0.0, 0.0), Point(4.0, 0.0), Point(0.0, 3.0))
-        report = check_similarity_invariance(t, 0.0, 1.0, Point(0.0, 0.0))
+        report = check_similarity_invariance(t, morley_triangle(t), 0.0, 1.0, Point(0.0, 0.0))
         assert report.measured == 0.0
 
     def test_generic_map(self):
         t = Triangle(Point(0.0, 0.0), Point(4.0, 0.0), Point(0.0, 3.0))
-        report = check_similarity_invariance(t, 0.7, 10.0, Point(5.0, -3.0))
+        report = check_similarity_invariance(t, morley_triangle(t), 0.7, 10.0, Point(5.0, -3.0))
         assert report.passed
 
 
 class TestEquilateralForward:
     def test_random_triangle(self):
         rng = random.Random(31)
-        report = check_equilateral_forward(random_triangle(rng))
+        report = check_equilateral_forward(morley_triangle(random_triangle(rng)))
         assert report.name == "forward equilateral"
         assert report.passed
 
@@ -295,3 +304,65 @@ class TestBattery:
     def test_rejects_nonpositive_samples(self):
         with pytest.raises(ValueError):
             run_battery(samples=0)
+
+    def test_trisects_each_triangle_once(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name):
+            fn = getattr(morley.verify, name)
+
+            def counting(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return counting
+
+        for name in ("construct", "morley_triangle"):
+            monkeypatch.setattr(morley.verify, name, counted(name))
+        run_battery(samples=3, seed=7)
+        # Per sample: the configuration, rebuilt once more by
+        # check_roundtrip; then the three limit probes.
+        assert calls["construct"] == 3 * 2 + 3
+        # Per sample: the roundtrip, the random triangle, its moved copy.
+        assert calls["morley_triangle"] == 3 * 3
+
+
+def _reference_battery(samples, seed):
+    """run_battery with every check recomputing what it needs, as before
+    the battery shared each sample's trisection: the forward checks each
+    trisect the random triangle, and reports are renamed with replace."""
+    inner = equilateral_triangle()
+    rng = random.Random(seed)
+    checks = []
+    for index, angles in enumerate(_sample_triples(rng, samples, MIN_SAMPLE_ANGLE)):
+        prefix = f"s{index:04d}/"
+        cfg = construct(inner, angles)
+        batch = [
+            *check_angle_identities(cfg, ANGLE_TOL).checks,
+            *check_isosceles_arcs(cfg, ISOSCELES_RTOL).checks,
+            *check_outer_angles(cfg, ANGLE_TOL).checks,
+        ]
+        rebuilt = construct(inner, angles)
+        recovered = morley_triangle(rebuilt.outer)
+        worst = max(u.distance_to(v) for u, v in zip(rebuilt.inner.vertices, recovered.vertices))
+        batch.append(check("roundtrip", worst / inner.scale(), 0.0, LENGTH_RTOL))
+
+        triangle = random_triangle(rng)
+        batch.append(check("forward equilateral", side_spread(morley_triangle(triangle)), 0.0, LENGTH_RTOL))
+        theta, scale, shift = random_similarity(rng)
+        moved = apply_similarity(triangle, theta, scale, shift)
+        direct = morley_triangle(moved)
+        pushed = apply_similarity(morley_triangle(triangle), theta, scale, shift)
+        worst = max(u.distance_to(v) for u, v in zip(direct.vertices, pushed.vertices))
+        batch.append(check("similarity", worst / moved.scale(), 0.0, LENGTH_RTOL))
+        checks.extend(replace(report, name=prefix + report.name) for report in batch)
+    checks.extend(limit_sequence(inner).checks)
+    return summarize(checks, seed, samples)
+
+
+@pytest.mark.parametrize("seed", [0, 11, 2024])
+def test_battery_matches_reference_sweep(seed):
+    summary = run_battery(samples=20, seed=seed)
+    reference = _reference_battery(20, seed)
+    assert summary.checks == reference.checks
+    assert summary_document(summary) == summary_document(reference)
