@@ -2,16 +2,23 @@
 
 Emission is deterministic: fixed key order, two-space indentation and
 floats printed by ``repr``, the shortest text that parses back to the
-identical double.  Documents are streamed through the standard library
-encoder into one buffer, so a large verification report is never held
-as a list of encoder chunks.  parse_config_document inverts
-config_document exactly.
+identical double.  The configuration and forward documents are streamed
+through the standard library encoder into one buffer.  The verification
+report writes each check from one fixed record template instead: with
+``indent`` set the stdlib encoder runs in pure Python, which made it the
+costliest step of a large battery.  The template prints strings with the
+encoder's own ``encode_basestring_ascii`` and numbers by the encoder's
+rule, so its output is byte for byte what ``json.JSONEncoder(indent=2)``
+gives; tests/test_document.py pins that against the encoder on arbitrary
+reports.  parse_config_document inverts config_document exactly.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import math
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .forward import side_spread
@@ -77,26 +84,65 @@ def parse_config_document(text: str) -> MorleyConfiguration:
     )
 
 
+# One check of the report, laid out as json.JSONEncoder(indent=2) lays
+# out an element of the "checks" list.
+_CHECK_RECORD = (
+    "    {\n"
+    '      "name": %s,\n'
+    '      "mode": %s,\n'
+    '      "measured": %s,\n'
+    '      "expected": %s,\n'
+    '      "abs_error": %s,\n'
+    '      "tol": %s,\n'
+    '      "pass": %s\n'
+    "    }"
+)
+
+
+def _number(value: float) -> str:
+    # The encoder's rule: float.__repr__ (so a float subclass prints as a
+    # float), JavaScript names for the non-finite values, int.__repr__ for
+    # an int.
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    return int.__repr__(value)
+
+
 def summary_document(summary: VerificationSummary) -> str:
     """Serialize a verification run, one entry per check."""
-    doc = {
-        "seed": summary.seed,
-        "samples": summary.samples,
-        "all_pass": summary.all_pass,
-        "checks": [
-            {
-                "name": report.name,
-                "mode": report.mode,
-                "measured": report.measured,
-                "expected": report.expected,
-                "abs_error": report.abs_error,
-                "tol": report.tol,
-                "pass": report.passed,
-            }
-            for report in summary.checks
-        ],
-    }
-    return _dump(doc)
+    out = io.StringIO()
+    out.write(
+        '{\n  "seed": %s,\n  "samples": %s,\n  "all_pass": %s,\n  "checks": '
+        % (_number(summary.seed), _number(summary.samples), "true" if summary.all_pass else "false")
+    )
+    records = (
+        _CHECK_RECORD
+        % (
+            encode_basestring_ascii(report.name),
+            encode_basestring_ascii(report.mode),
+            _number(report.measured),
+            _number(report.expected),
+            _number(report.abs_error),
+            _number(report.tol),
+            "true" if report.passed else "false",
+        )
+        for report in summary.checks
+    )
+    first = next(records, None)
+    if first is None:
+        out.write("[]\n}\n")
+    else:
+        out.write("[\n")
+        out.write(first)
+        out.writelines(map(",\n".__add__, records))
+        out.write("\n  ]\n}\n")
+    return out.getvalue()
 
 
 def forward_document(outer: Triangle, morley: Triangle) -> str:

@@ -176,7 +176,7 @@ def check_angle_identities(cfg: MorleyConfiguration, tol: float = ANGLE_TOL) -> 
             checks.append(check(_angle_name(vertex, p, q), measured, expected, tol))
 
         cycle = group["pentagon"]
-        measured = sum(polygon_interior_angles([pts[name] for name in cycle]))
+        measured = math.fsum(polygon_interior_angles([pts[name] for name in cycle]))
         checks.append(check(f"pentagon[{' '.join(cycle)}]", measured, 3.0 * math.pi, tol))
 
         vertex, p, q, param = group["full"]

@@ -2,6 +2,8 @@ import json
 import math
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from morley.document import (
     config_document,
@@ -12,7 +14,7 @@ from morley.document import (
 from morley.forward import morley_triangle
 from morley.inverse import AngleTriple, construct, equilateral_triangle
 from morley.kernel import Point, Triangle
-from morley.verify import run_battery
+from morley.verify import CheckReport, run_battery, summarize
 
 
 def configs():
@@ -80,6 +82,78 @@ class TestSummaryDocument:
         one = summary_document(run_battery(samples=2, seed=3))
         two = summary_document(run_battery(samples=2, seed=3))
         assert one == two
+
+
+class _OwnReprFloat(float):
+    """A float subclass whose repr is not JSON; the encoder ignores it."""
+
+    def __repr__(self):
+        return "OwnReprFloat()"
+
+
+def _encoder_summary(summary):
+    """The report as the stdlib encoder writes it: the emitter's oracle."""
+    doc = {
+        "seed": summary.seed,
+        "samples": summary.samples,
+        "all_pass": summary.all_pass,
+        "checks": [
+            {
+                "name": report.name,
+                "mode": report.mode,
+                "measured": report.measured,
+                "expected": report.expected,
+                "abs_error": report.abs_error,
+                "tol": report.tol,
+                "pass": report.passed,
+            }
+            for report in summary.checks
+        ],
+    }
+    return "".join(json.JSONEncoder(indent=2).iterencode(doc)) + "\n"
+
+
+_names = st.text(st.characters(exclude_categories=()), max_size=12)
+_numbers = st.one_of(
+    st.floats(),
+    st.floats().map(_OwnReprFloat),
+    st.integers(-(10**18), 10**18),
+)
+_reports = st.builds(
+    CheckReport,
+    name=_names,
+    measured=_numbers,
+    expected=_numbers,
+    tol=_numbers,
+    passed=st.booleans(),
+    mode=st.sampled_from(["unsigned", "signed"]) | _names,
+)
+
+
+class TestSummaryMatchesStdlibEncoder:
+    @given(
+        reports=st.lists(_reports, max_size=6),
+        seed=st.integers(0, 2**64),
+        samples=st.integers(0, 10**6),
+    )
+    @example(reports=[], seed=0, samples=0)
+    @example(
+        reports=[
+            CheckReport("nonfinite", math.nan, math.inf, -math.inf, False),
+            CheckReport("extremes", -0.0, 5e-324, 1e308, True, "signed"),
+            CheckReport("count", 3, 2.5, 1e-9, True),
+        ],
+        seed=2**40,
+        samples=3,
+    )
+    @example(
+        reports=[CheckReport('q"b\\s\x01\u00e9\ud800', 1.0, 1.0, 0.0, True, "\ud800")],
+        seed=0,
+        samples=1,
+    )
+    def test_bytes_equal_the_encoder(self, reports, seed, samples):
+        summary = summarize(reports, seed, samples)
+        assert summary_document(summary) == _encoder_summary(summary)
 
 
 class TestForwardDocument:
