@@ -28,5 +28,5 @@ for a_small in (1e-2, 1e-3, 1e-4, 1e-5):
 
 # 2. The built-in sequence check asserts the deviation decreases
 #    monotonically as a drops through a whole sequence.
-summary = limit_sequence(a_values=(1e-3, 1e-4, 1e-5))
+summary = limit_sequence()
 print(f"monotone decay over (1e-3, 1e-4, 1e-5): all pass = {summary.all_pass}")

@@ -23,7 +23,7 @@ from .inverse import (
     equilateral_triangle,
 )
 from .kernel import DegenerateTriangle, GeometryError, Point, Triangle
-from .render import RenderStyle, TrisectionScene, render_svg
+from .render import TrisectionScene, render_svg
 from .verify import (
     ANGLE_TOL,
     DEFAULT_SEED,
@@ -177,7 +177,7 @@ def cmd_forward(args: argparse.Namespace) -> int:
     return 0
 
 
-def _report_summary(summary: VerificationSummary, json_path: str | None, limit: int = 20) -> int:
+def _report_summary(summary: VerificationSummary, json_path: str | None) -> int:
     if json_path:
         Path(json_path).write_text(summary_document(summary))
     failures = summary.failures()
@@ -185,13 +185,14 @@ def _report_summary(summary: VerificationSummary, json_path: str | None, limit: 
         f"checks: {len(summary.checks)}, failed: {len(failures)}, "
         f"samples: {summary.samples}, seed: {summary.seed}"
     )
-    for report in failures[:limit]:
+    shown = failures[:20]
+    for report in shown:
         print(
             f"  FAIL {report.name}: measured {report.measured:.17g}, "
             f"expected {report.expected:.17g}, tol {report.tol:g}"
         )
-    if len(failures) > limit:
-        print(f"  ... and {len(failures) - limit} more")
+    if len(failures) > len(shown):
+        print(f"  ... and {len(failures) - len(shown)} more")
     return 0 if summary.all_pass else 1
 
 
@@ -244,8 +245,7 @@ def cmd_render(args: argparse.Namespace) -> int:
     else:
         print("error: need --json PATH or all of --a, --b, --c", file=sys.stderr)
         return 2
-    style = RenderStyle(show_arcs=not args.no_arcs, show_labels=not args.no_labels)
-    Path(args.svg).write_text(render_svg(cfg, style))
+    Path(args.svg).write_text(render_svg(cfg, arcs=not args.no_arcs, labels=not args.no_labels))
     return 0
 
 

@@ -101,8 +101,8 @@ class AngleTriple:
         return (self.a, self.b, self.c)
 
 
-def equilateral_triangle(side: float = 1.0, labels: tuple[str, str, str] = ("A'", "B'", "C'")) -> Triangle:
-    """Counter-clockwise equilateral triangle with base from origin.
+def equilateral_triangle(side: float = 1.0) -> Triangle:
+    """Counter-clockwise equilateral triangle A'B'C' with base from origin.
 
     Vertices are (side/2, side*sqrt(3)/2), (0, 0), (side, 0) so the
     first vertex is the apex and the base lies on the x axis.
@@ -110,7 +110,7 @@ def equilateral_triangle(side: float = 1.0, labels: tuple[str, str, str] = ("A'"
     if not (math.isfinite(side) and side > 0.0):
         raise GeometryError(f"side must be finite and positive, got {side}")
     apex = Point(side / 2.0, side * math.sqrt(3.0) / 2.0)
-    return Triangle(apex, Point(0.0, 0.0), Point(side, 0.0), labels)
+    return Triangle(apex, Point(0.0, 0.0), Point(side, 0.0), INNER_NAMES)
 
 
 @dataclass(frozen=True, slots=True)

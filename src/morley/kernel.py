@@ -138,10 +138,6 @@ class Circle:
         if not (math.isfinite(self.radius) and self.radius > 0.0):
             raise GeometryError(f"radius must be finite and positive, got {self.radius}")
 
-    def contains(self, p: Point, rtol: float = 1e-9) -> bool:
-        """True when p lies on the circle within a relative tolerance."""
-        return abs(self.center.distance_to(p) - self.radius) <= rtol * self.radius
-
 
 @dataclass(frozen=True, slots=True)
 class Triangle:

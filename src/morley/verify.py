@@ -265,12 +265,11 @@ def check_similarity_invariance(
     return check("similarity", worst / ref, 0.0, rtol)
 
 
-def _limit_checks(a_small: float, inner: Triangle, tol: float | None) -> tuple[list[CheckReport], float]:
+def _limit_checks(a_small: float, inner: Triangle) -> tuple[list[CheckReport], float]:
     """Checks for one small-angle probe; returns them and the deviation."""
     if not 1e-6 <= a_small <= 1e-2:
         raise ValueError(f"small angle must lie in [1e-6, 1e-2], got {a_small}")
-    if tol is None:
-        tol = LIMIT_TOL_FACTOR * a_small
+    tol = LIMIT_TOL_FACTOR * a_small
     rest = (math.pi / 3.0 - a_small) / 2.0
     cfg = construct(inner, AngleTriple(a_small, rest, rest))
     pts = cfg.named_points()
@@ -294,31 +293,25 @@ def _limit_checks(a_small: float, inner: Triangle, tol: float | None) -> tuple[l
     return checks, abs(between - math.pi / 2.0)
 
 
-def check_limit_perpendicular(a_small: float, inner: Triangle | None = None, tol: float | None = None) -> VerificationSummary:
+def check_limit_perpendicular(a_small: float, inner: Triangle | None = None) -> VerificationSummary:
     """Small-angle probe at a single value of a (with b = c)."""
-    if inner is None:
-        inner = equilateral_triangle()
-    checks, _ = _limit_checks(a_small, inner, tol)
+    checks, _ = _limit_checks(a_small, inner or equilateral_triangle())
     return summarize(checks)
 
 
-def limit_sequence(inner: Triangle | None = None, a_values: Sequence[float] = LIMIT_DEFAULT_VALUES) -> VerificationSummary:
-    """Small-angle probes over decreasing a, plus a monotonicity check.
+def limit_sequence(inner: Triangle | None = None) -> VerificationSummary:
+    """Small-angle probes over the decreasing LIMIT_DEFAULT_VALUES of a,
+    plus a monotonicity check.
 
     The deviation from a right angle must not grow as a shrinks; the
     monotonicity check reports the largest increase between consecutive
     probes (zero when the deviations are non-increasing).
     """
-    if len(a_values) < 2:
-        raise ValueError("need at least two probe values")
-    if any(x <= y for x, y in zip(a_values, a_values[1:])):
-        raise ValueError(f"probe values must be strictly decreasing, got {a_values}")
-    if inner is None:
-        inner = equilateral_triangle()
+    inner = inner or equilateral_triangle()
     checks: list[CheckReport] = []
     deviations: list[float] = []
-    for a_small in a_values:
-        batch, deviation = _limit_checks(a_small, inner, None)
+    for a_small in LIMIT_DEFAULT_VALUES:
+        batch, deviation = _limit_checks(a_small, inner)
         checks.extend(batch)
         deviations.append(deviation)
     worst_increase = max(
@@ -328,9 +321,10 @@ def limit_sequence(inner: Triangle | None = None, a_values: Sequence[float] = LI
     return summarize(checks)
 
 
-def sample_angle_triples(n: int, seed: int = DEFAULT_SEED, min_angle: float = MIN_SAMPLE_ANGLE) -> tuple[AngleTriple, ...]:
-    """n angle triples drawn uniformly from the admissible simplex."""
-    return _sample_triples(_seeded(seed), n, min_angle)
+def sample_angle_triples(n: int, seed: int = DEFAULT_SEED) -> tuple[AngleTriple, ...]:
+    """n angle triples drawn uniformly from the admissible simplex, each
+    angle at least MIN_SAMPLE_ANGLE."""
+    return _sample_triples(_seeded(seed), n)
 
 
 def _seeded(seed: int) -> random.Random:
@@ -341,31 +335,32 @@ def _seeded(seed: int) -> random.Random:
     return random.Random(seed)
 
 
-def _sample_triples(rng: random.Random, n: int, min_angle: float) -> tuple[AngleTriple, ...]:
+def _sample_triples(rng: random.Random, n: int) -> tuple[AngleTriple, ...]:
     if n < 1:
         raise ValueError(f"need at least one sample, got {n}")
     third = math.pi / 3.0
     out: list[AngleTriple] = []
     while len(out) < n:
-        a = rng.uniform(min_angle, third)
-        b = rng.uniform(min_angle, third)
+        a = rng.uniform(MIN_SAMPLE_ANGLE, third)
+        b = rng.uniform(MIN_SAMPLE_ANGLE, third)
         c = third - a - b
-        if c >= min_angle:
+        if c >= MIN_SAMPLE_ANGLE:
             out.append(AngleTriple(a, b, c))
     return tuple(out)
 
 
-def random_triangle(rng: random.Random, box: float = 10.0, min_angle: float = math.radians(3.0)) -> Triangle:
-    """Uniform vertices in a square, rejecting thin triangles.
+def random_triangle(rng: random.Random) -> Triangle:
+    """Uniform vertices in the square [-10, 10]^2, rejecting triangles
+    with an interior angle below three degrees.
 
     Draws x then y of each vertex with ``rng.uniform``.
     """
     while True:
         try:
-            candidate = Triangle(*(Point(rng.uniform(-box, box), rng.uniform(-box, box)) for _ in range(3)))
+            candidate = Triangle(*(Point(rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0)) for _ in range(3)))
         except DegenerateTriangle:
             continue
-        if candidate.min_interior_angle() >= min_angle:
+        if candidate.min_interior_angle() >= math.radians(3.0):
             return candidate
 
 
@@ -387,8 +382,6 @@ def run_battery(
     seed: int = DEFAULT_SEED,
     angle_tol: float = ANGLE_TOL,
     length_rtol: float = LENGTH_RTOL,
-    isosceles_rtol: float = ISOSCELES_RTOL,
-    side: float = 1.0,
 ) -> VerificationSummary:
     """The full sweep: per-sample identity batteries plus limit probes.
 
@@ -398,16 +391,16 @@ def run_battery(
     that result for equilaterality and similarity commutation.  Check
     names are prefixed with the sample index.
     """
-    inner = equilateral_triangle(side)
+    inner = equilateral_triangle()
     rng = _seeded(seed)
-    triples = _sample_triples(rng, samples, MIN_SAMPLE_ANGLE)
+    triples = _sample_triples(rng, samples)
     checks: list[CheckReport] = []
     for index, angles in enumerate(triples):
         prefix = f"s{index:04d}/"
         cfg = construct(inner, angles)
         for summary in (
             check_angle_identities(cfg, angle_tol),
-            check_isosceles_arcs(cfg, isosceles_rtol),
+            check_isosceles_arcs(cfg),
             check_outer_angles(cfg, angle_tol),
         ):
             checks.extend(_prefixed(report, prefix) for report in summary.checks)

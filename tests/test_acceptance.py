@@ -154,7 +154,7 @@ def test_criterion_6_limit():
         probe.checks[0].measured - probe.checks[0].expected
     )
     within = deviation <= 1e-3
-    sequence = limit_sequence(a_values=(1e-3, 1e-4, 1e-5))
+    sequence = limit_sequence()
     monotone = next(r for r in sequence.checks if r.name == "limit monotone")
     ok = within and probe.all_pass and sequence.all_pass and monotone.measured == 0.0
     report(6, ok, f"as one angle vanishes the side line turns perpendicular to the "

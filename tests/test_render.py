@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 
@@ -6,7 +7,7 @@ import pytest
 from morley.forward import morley_triangle
 from morley.inverse import AngleTriple, construct, equilateral_triangle
 from morley.kernel import Point, Triangle
-from morley.render import RenderStyle, TrisectionScene, render_svg
+from morley.render import TrisectionScene, render_svg
 
 
 def reference_config(side=1.0):
@@ -51,7 +52,7 @@ class TestConfigRendering:
 
     def test_style_toggles(self):
         cfg = reference_config()
-        bare = render_svg(cfg, RenderStyle(show_arcs=False, show_labels=False))
+        bare = render_svg(cfg, arcs=False, labels=False)
         assert count(bare, "arc") == 0
         assert count(bare, "label") == 0
         assert count(bare, "construction-line") == 3
@@ -155,14 +156,68 @@ class TestTrisectionRendering:
 
 
 class TestRenderStyle:
-    def test_rejects_nonpositive_lengths(self):
-        with pytest.raises(ValueError):
-            RenderStyle(stroke_width=0.0)
-        with pytest.raises(ValueError):
-            RenderStyle(point_radius=-1.0)
-        with pytest.raises(ValueError):
-            RenderStyle(label_font_size=math.inf)
-
     def test_unknown_scene_type(self):
         with pytest.raises(TypeError):
             render_svg("not a scene")
+
+
+def right_triangle_scene(scale=1.0):
+    return TrisectionScene.from_triangle(Triangle(Point(0.0, 0.0), Point(4.0 * scale, 0.0), Point(0.0, 3.0 * scale)))
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestGoldenBytes:
+    """Drawings are part of the byte contract: these digests change only
+    with a deliberate change to the emitted SVG."""
+
+    @pytest.mark.parametrize(
+        "arcs, labels, digest",
+        [
+            (True, True, "501fc7ba4aaf87840d636bd3f87a4093ecf5bc4720b6eac8e5879af589009771"),
+            (True, False, "efe954add36059a11e7aed5bb2e9d2ecd9ae066ea7c10e56c27ab61f384198e0"),
+            (False, True, "fdc5253971205bf06aea4a498d677b213da0945c695c0113e7a75ab012aac717"),
+            (False, False, "3826aa49bbbbe6299373e67e5a406fa416e9d0a1c3516a1a22ba1b672d05b3d0"),
+        ],
+    )
+    def test_reference_configuration(self, arcs, labels, digest):
+        assert sha256(render_svg(reference_config(), arcs=arcs, labels=labels)) == digest
+
+    @pytest.mark.parametrize(
+        "labels, digest",
+        [
+            (True, "bfa326ff8ecefbfb0e0debbebdbd0658bf4e702dc289f9c1399944071fa0e9a2"),
+            (False, "4cfe0c42027f232558afe4710283ffc0578d464f3d3e5a73ac6f6dc884e165ed"),
+        ],
+    )
+    def test_right_triangle_scene(self, labels, digest):
+        assert sha256(render_svg(right_triangle_scene(), labels=labels)) == digest
+
+
+def label_offsets(svg, points, scale):
+    """Each label's offset from its point, in y-up coordinates, divided by scale."""
+    texts = re.findall(r'<text class="label" x="([^"]+)" y="([^"]+)"', svg)
+    assert len(texts) == len(points)
+    return [((float(x) - p.x) / scale, (-float(y) - p.y) / scale) for (x, y), p in zip(texts, points)]
+
+
+class TestLabelsAtAnyScale:
+    @pytest.mark.parametrize("scale", [1e-20, 1e-100])
+    def test_configuration(self, scale):
+        def offsets(side):
+            cfg = reference_config(side)
+            return label_offsets(render_svg(cfg), list(cfg.named_points().values()), side)
+
+        for got, want in zip(offsets(scale), offsets(1.0)):
+            assert got == pytest.approx(want, abs=1e-8)
+
+    @pytest.mark.parametrize("scale", [1e-20, 1e-100])
+    def test_trisection_scene(self, scale):
+        def offsets(size):
+            scene = right_triangle_scene(size)
+            return label_offsets(render_svg(scene), [*scene.outer.vertices, *scene.morley.vertices], size)
+
+        for got, want in zip(offsets(scale), offsets(1.0)):
+            assert got == pytest.approx(want, abs=1e-8)

@@ -15,7 +15,6 @@ from morley.verify import (
     ANGLE_TOL,
     ISOSCELES_RTOL,
     LENGTH_RTOL,
-    MIN_SAMPLE_ANGLE,
     CheckReport,
     _sample_triples,
     check,
@@ -267,12 +266,6 @@ class TestLimit:
             assert mono.measured == 0.0 and mono.tol == 0.0
             assert len(summary.checks) == 10
 
-    def test_sequence_validation(self):
-        with pytest.raises(ValueError):
-            limit_sequence(a_values=(1e-3,))
-        with pytest.raises(ValueError):
-            limit_sequence(a_values=(1e-4, 1e-3))
-
 
 class TestSampling:
     def test_triples_are_valid_and_deterministic(self):
@@ -356,7 +349,7 @@ def _reference_battery(samples, seed):
     inner = equilateral_triangle()
     rng = random.Random(seed)
     checks = []
-    for index, angles in enumerate(_sample_triples(rng, samples, MIN_SAMPLE_ANGLE)):
+    for index, angles in enumerate(_sample_triples(rng, samples)):
         prefix = f"s{index:04d}/"
         cfg = construct(inner, angles)
         batch = [
