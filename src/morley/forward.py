@@ -18,8 +18,7 @@ from .kernel import (
     NearParallel,
     Point,
     Triangle,
-    angle_at,
-    rotate_about,
+    require_finite,
     signed_angle,
 )
 
@@ -56,38 +55,58 @@ def trisectors(triangle: Triangle, vertex_index: int) -> tuple[Ray, Ray]:
     v = triangle.vertex(vertex_index)
     nxt = triangle.vertex(vertex_index % 3 + 1)
     prv = triangle.vertex((vertex_index + 1) % 3 + 1)
-    theta = angle_at(v, nxt, prv)
-    if theta < MIN_TRIANGLE_ANGLE:
+    turn = signed_angle(v, nxt, prv)
+    if abs(turn) < MIN_TRIANGLE_ANGLE:
         raise DegenerateTriangle(
-            f"interior angle {theta:.3e} at vertex {vertex_index} is too small"
+            f"interior angle {abs(turn):.3e} at vertex {vertex_index} is too small"
         )
-    # Rotate off the side v->nxt into the triangle's interior.
-    into = 1.0 if signed_angle(v, nxt, prv) > 0.0 else -1.0
-    base = nxt - v
-    base = base * (1.0 / base.norm())
-    first = rotate_about(base + v, v, into * theta / 3.0) - v
-    second = rotate_about(base + v, v, into * 2.0 * theta / 3.0) - v
-    return Ray(v, _renormalize(first)), Ray(v, _renormalize(second))
+    return _trisectors(v, nxt, turn)
 
 
-def _renormalize(d: Point) -> Point:
-    n = d.norm()
-    return Point(d.x / n, d.y / n)
+def _trisectors(v: Point, nxt: Point, turn: float) -> tuple[Ray, Ray]:
+    """Trisectors at v, given ``turn = signed_angle(v, nxt, prv)``: its
+    magnitude is the interior angle and its sign the way into the
+    triangle from the side v->nxt."""
+    theta = abs(turn)
+    into = 1.0 if turn > 0.0 else -1.0
+    bx, by = nxt.x - v.x, nxt.y - v.y
+    inv = 1.0 / math.hypot(bx, by)
+    bx, by = bx * inv, by * inv
+    require_finite(bx, by)
+    return _ray(v, bx, by, into * theta / 3.0), _ray(v, bx, by, into * 2.0 * theta / 3.0)
+
+
+def _ray(v: Point, bx: float, by: float, angle: float) -> Ray:
+    """The unit vector (bx, by) turned by ``angle``, as a ray from v.
+
+    This is rotate_about(base + v, v, angle) - v, renormalized, one float
+    operation for each of the Point operations it stands for.  Against a
+    vertex far from the origin the unit vector is lost in base + v, and
+    the renormalization divides by zero.
+    """
+    c = math.cos(angle)
+    s = math.sin(angle)
+    vx, vy = v.x, v.y
+    dx, dy = (bx + vx) - vx, (by + vy) - vy
+    rx, ry = vx + c * dx - s * dy - vx, vy + s * dx + c * dy - vy
+    n = math.hypot(rx, ry)
+    return Ray(v, Point(rx / n, ry / n))
 
 
 def _intersect_rays(r1: Ray, r2: Ray, scale: float) -> Point:
-    denom = r1.direction.cross(r2.direction)
+    o1, d1, d2 = r1.origin, r1.direction, r2.direction
+    denom = d1.x * d2.y - d1.y * d2.x
     if abs(denom) <= 1e-12:
         raise NearParallel(f"trisector rays {r1} and {r2} are (nearly) parallel")
-    delta = r2.origin - r1.origin
-    t1 = delta.cross(r2.direction) / denom
-    t2 = delta.cross(r1.direction) / denom
+    wx, wy = r2.origin.x - o1.x, r2.origin.y - o1.y
+    t1 = (wx * d2.y - wy * d2.x) / denom
+    t2 = (wx * d1.y - wy * d1.x) / denom
     slack = RAY_PARAM_SLACK * scale
     if t1 < -slack or t2 < -slack:
         raise NearParallel(
             f"trisector rays meet behind an origin (t1={t1:.3e}, t2={t2:.3e})"
         )
-    return r1.point_at(t1)
+    return Point(o1.x + d1.x * t1, o1.y + d1.y * t1)
 
 
 def morley_triangle(triangle: Triangle) -> Triangle:
@@ -97,14 +116,15 @@ def morley_triangle(triangle: Triangle) -> Triangle:
     the trisectors of B and C adjacent to side BC, and cyclically.
     With the default labels the result is labelled ("A'", "B'", "C'").
     """
-    if triangle.min_interior_angle() < MIN_TRIANGLE_ANGLE:
-        raise DegenerateTriangle(
-            f"smallest interior angle {triangle.min_interior_angle():.3e} is too small"
-        )
+    v1, v2, v3 = triangle.v1, triangle.v2, triangle.v3
+    turn_1, turn_2, turn_3 = signed_angle(v1, v2, v3), signed_angle(v2, v3, v1), signed_angle(v3, v1, v2)
+    smallest = min(abs(turn_1), abs(turn_2), abs(turn_3))
+    if smallest < MIN_TRIANGLE_ANGLE:
+        raise DegenerateTriangle(f"smallest interior angle {smallest:.3e} is too small")
     scale = triangle.scale()
-    first_1, second_1 = trisectors(triangle, 1)
-    first_2, second_2 = trisectors(triangle, 2)
-    first_3, second_3 = trisectors(triangle, 3)
+    first_1, second_1 = _trisectors(v1, v2, turn_1)
+    first_2, second_2 = _trisectors(v2, v3, turn_2)
+    first_3, second_3 = _trisectors(v3, v1, turn_3)
     # At each vertex, `first` hugs the side toward the next vertex and
     # `second` hugs the side toward the previous one.
     near_bc = _intersect_rays(first_2, second_3, scale)

@@ -190,7 +190,8 @@ def construct(inner: Triangle, angles: AngleTriple) -> MorleyConfiguration:
         raise NotEquilateral(
             f"side lengths {lengths} spread more than {EQUILATERAL_RTOL:g} relative"
         )
-    inner = inner.with_labels(INNER_NAMES)
+    if inner.labels != INNER_NAMES:
+        inner = inner.with_labels(INNER_NAMES)
     vertices = dict(zip(INNER_NAMES, inner.vertices))
     circles: list[Circle] = []
     arc_points: list[Point] = []

@@ -52,6 +52,23 @@ _isfinite = math.isfinite
 _set_field = object.__setattr__
 
 
+def _non_finite(x: float, y: float) -> GeometryError:
+    return GeometryError(f"non-finite coordinates ({x}, {y})")
+
+
+def require_finite(x: float, y: float) -> None:
+    """Raise what Point(x, y) raises for a non-finite coordinate.
+
+    Code that keeps an intermediate vector in float locals, rather than
+    building a Point for it, checks it here so that it fails exactly as
+    the Point arithmetic would.  A unit vector times a float needs no
+    check before it is added to a finite point: it is finite, or
+    non-finite in both coordinates, and the sum keeps those.
+    """
+    if not (_isfinite(x) and _isfinite(y)):
+        raise _non_finite(x, y)
+
+
 @dataclass(frozen=True, slots=True, init=False)
 class Point:
     """A position in the plane; doubles as a displacement vector."""
@@ -61,7 +78,7 @@ class Point:
 
     def __init__(self, x: float, y: float) -> None:
         if not (_isfinite(x) and _isfinite(y)):
-            raise GeometryError(f"non-finite coordinates ({x}, {y})")
+            raise _non_finite(x, y)
         # Canonicalize ints and numpy scalars so equal points print
         # identically everywhere.
         _set_field(self, "x", float(x))
@@ -190,7 +207,8 @@ class Triangle:
         return angle_at(v, nxt, prv)
 
     def min_interior_angle(self) -> float:
-        return min(self.interior_angle(i) for i in (1, 2, 3))
+        v1, v2, v3 = self.v1, self.v2, self.v3
+        return min(angle_at(v1, v2, v3), angle_at(v2, v3, v1), angle_at(v3, v1, v2))
 
     def is_equilateral(self, rtol: float = 1e-12) -> bool:
         lengths = self.side_lengths()
@@ -229,28 +247,32 @@ def intersect_lines(l1: Line, l2: Line) -> Point:
     by the unit_scale of the longer direction, which leaves the
     intersection parameter unchanged.
     """
-    d1 = l1.direction()
-    d2 = l2.direction()
-    n1, n2 = d1.norm(), d2.norm()
+    p1, p2 = l1.p, l2.p
+    ux, uy = l1.q.x - p1.x, l1.q.y - p1.y
+    require_finite(ux, uy)
+    vx, vy = l2.q.x - p2.x, l2.q.y - p2.y
+    require_finite(vx, vy)
+    n1, n2 = math.hypot(ux, uy), math.hypot(vx, vy)
     k = unit_scale(max(n1, n2))
-    d1x, d1y, d2x, d2y = d1.x * k, d1.y * k, d2.x * k, d2.y * k
+    d1x, d1y, d2x, d2y = ux * k, uy * k, vx * k, vy * k
     denom = d1x * d2y - d1y * d2x
     if abs(denom) <= EPS_PARALLEL * (n1 * k) * (n2 * k):
         raise NearParallel(f"lines {l1} and {l2} are (nearly) parallel")
-    wx, wy = (l2.p.x - l1.p.x) * k, (l2.p.y - l1.p.y) * k
+    wx, wy = (p2.x - p1.x) * k, (p2.y - p1.y) * k
     t = (wx * d2y - wy * d2x) / denom
-    return l1.p + d1 * t
+    step_x, step_y = ux * t, uy * t
+    require_finite(step_x, step_y)
+    return Point(p1.x + step_x, p1.y + step_y)
 
 
 def rotate_about(p: Point, center: Point, theta: float) -> Point:
     """Rotate p about center by theta (counter-clockwise positive)."""
     c = math.cos(theta)
     s = math.sin(theta)
-    d = p - center
-    return Point(
-        center.x + c * d.x - s * d.y,
-        center.y + s * d.x + c * d.y,
-    )
+    cx, cy = center.x, center.y
+    dx, dy = p.x - cx, p.y - cy
+    require_finite(dx, dy)
+    return Point(cx + c * dx - s * dy, cy + s * dx + c * dy)
 
 
 def _scaled_rays(vertex: Point, p: Point, q: Point) -> tuple[float, float, float, float]:
@@ -300,8 +322,9 @@ def chord_arc_circle(p: Point, q: Point, half_central: float, far_point: Point) 
         raise GeometryError(
             f"half central angle must lie in (0, pi/2), got {half_central}"
         )
-    chord = q - p
-    length = chord.norm()
+    chord_x, chord_y = q.x - p.x, q.y - p.y
+    require_finite(chord_x, chord_y)
+    length = math.hypot(chord_x, chord_y)
     scale = max(length, p.distance_to(far_point), q.distance_to(far_point))
     if length <= EPS_LENGTH * scale:
         raise DegenerateChord(f"chord endpoints {p} and {q} coincide")
@@ -311,7 +334,8 @@ def chord_arc_circle(p: Point, q: Point, half_central: float, far_point: Point) 
     radius = length / (2.0 * math.sin(half_central))
     # Left unit normal of the chord; stepping from the midpoint by
     # (length/2) * cot(half_central) reaches the two candidate centers.
-    normal = Point(-chord.y / length, chord.x / length)
+    normal_x, normal_y = -chord_y / length, chord_x / length
     offset = (length / 2.0) * (math.cos(half_central) / math.sin(half_central))
-    center = midpoint(p, q) + normal * (-side * offset)
-    return Circle(center, radius)
+    mid = midpoint(p, q)
+    toward = -side * offset
+    return Circle(Point(mid.x + normal_x * toward, mid.y + normal_y * toward), radius)

@@ -41,6 +41,7 @@ from .kernel import (
     Point,
     Triangle,
     angle_at,
+    require_finite,
     signed_angle,
     unit_scale,
 )
@@ -114,9 +115,12 @@ def polygon_interior_angles(points: Sequence[Point]) -> list[float]:
         raise ValueError(f"polygon needs at least three vertices, got {n}")
     turns = []
     for i in range(n):
-        d0 = points[i] - points[i - 1]
-        d1 = points[(i + 1) % n] - points[i]
-        turns.append(math.atan2(d0.cross(d1), d0.dot(d1)))
+        prev, here, succ = points[i - 1], points[i], points[(i + 1) % n]
+        ux, uy = here.x - prev.x, here.y - prev.y
+        require_finite(ux, uy)
+        vx, vy = succ.x - here.x, succ.y - here.y
+        require_finite(vx, vy)
+        turns.append(math.atan2(ux * vy - uy * vx, ux * vx + uy * vy))
     winding = 1.0 if sum(turns) > 0.0 else -1.0
     return [math.pi - winding * t for t in turns]
 
@@ -195,7 +199,7 @@ _ISOSCELES_TRIPLES = (
 )
 
 
-def check_isosceles_arcs(cfg: MorleyConfiguration, rtol: float = ISOSCELES_RTOL) -> VerificationSummary:
+def check_isosceles_arcs(cfg: MorleyConfiguration) -> VerificationSummary:
     """|apex I| against |apex J| for the three chord pairs."""
     pts = cfg.named_points()
     checks = []
@@ -203,7 +207,7 @@ def check_isosceles_arcs(cfg: MorleyConfiguration, rtol: float = ISOSCELES_RTOL)
         left = pts[apex].distance_to(pts[i_name])
         right = pts[apex].distance_to(pts[j_name])
         ratio = left / right
-        checks.append(check(f"isosceles[{apex}: {i_name} {j_name}]", ratio, 1.0, rtol))
+        checks.append(check(f"isosceles[{apex}: {i_name} {j_name}]", ratio, 1.0, ISOSCELES_RTOL))
     return summarize(checks)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -166,3 +167,44 @@ class TestForwardDocument:
         assert data["morley"] == ["A'", "B'", "C'"]
         assert data["side_spread"] <= 1e-12
         assert data["points"]["B"] == [4.0, 0.0]
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def right_triangle(scale):
+    return Triangle(Point(0.0, 0.0), Point(4.0 * scale, 0.0), Point(0.0, 3.0 * scale))
+
+
+class TestGoldenBytes:
+    """Documents are part of the byte contract: these digests change only
+    with a deliberate change to the emitted bytes."""
+
+    def test_battery_report(self):
+        digest = "6d0e9ebff42f83d840711165410fd6d3ff426f9f481837e3f17e36fb61a62e44"
+        assert sha256(summary_document(run_battery(1000, 42))) == digest
+
+    @pytest.mark.parametrize(
+        "side, digest",
+        [
+            (1e-100, "014a8a65bc497d412cac7ee227f837d1324d4ff3c3aa677ad5ad5204b8685bea"),
+            (1.0, "6e9215486630e0b3bda24b77480f562b3d49cd83a1395acaf5e6f0fc38a19a5c"),
+            (1e100, "03f2d3b9a00e7f8f3e0ac932a2dca68700a45111d130c744d012ed00a3ff1a69"),
+        ],
+    )
+    def test_configuration(self, side, digest):
+        cfg = construct(equilateral_triangle(side), AngleTriple.from_degrees(20.0, 15.0, 25.0))
+        assert sha256(config_document(cfg)) == digest
+
+    @pytest.mark.parametrize(
+        "scale, digest",
+        [
+            (1e-100, "735651243b5713fcb6e0ae21deb3ce8daaff4fc09dae0ba18d776a87b619bf3e"),
+            (1.0, "8ca75e54cc1547c651f13b11418f27908b04154e2cf7f5e8bb1311a1d737e250"),
+            (1e12, "92125f3b6fe059d4ff35bdd428e0772ce1b5f7af8a485e7ae73371d5236471a4"),
+        ],
+    )
+    def test_forward(self, scale, digest):
+        t = right_triangle(scale)
+        assert sha256(forward_document(t, morley_triangle(t))) == digest

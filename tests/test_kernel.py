@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from morley.kernel import (
@@ -243,6 +243,20 @@ class TestSignedAngle:
         except GeometryError:
             return
         assert abs(abs(s) - u) <= 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(points, points, points, st.sampled_from([-1000, 1000]) | st.integers(-1000, 1000))
+    def test_magnitude_is_unsigned_bit_for_bit(self, v, p, q, exponent):
+        # The forward oracle measures each interior angle once, as a
+        # signed angle, and takes its magnitude as the unsigned angle.
+        # That is exact because atan2 is odd.
+        k = math.ldexp(1.0, exponent)
+        v, p, q = (Point(r.x * k, r.y * k) for r in (v, p, q))
+        try:
+            unsigned = angle_at(v, p, q)
+        except DegenerateRay:
+            assume(False)
+        assert abs(signed_angle(v, p, q)) == unsigned
 
     @settings(max_examples=300, deadline=None)
     @given(points, points, points)

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+import morley.kernel
 import morley.verify
 from morley.document import summary_document
 from morley.forward import apply_similarity, morley_triangle, side_spread
@@ -13,7 +14,6 @@ from morley.inverse import AngleTriple, construct, equilateral_triangle
 from morley.kernel import Point, Triangle
 from morley.verify import (
     ANGLE_TOL,
-    ISOSCELES_RTOL,
     LENGTH_RTOL,
     CheckReport,
     _sample_triples,
@@ -341,6 +341,32 @@ class TestBattery:
         # Per sample: the roundtrip, the random triangle, its moved copy.
         assert calls["morley_triangle"] == 3 * 3
 
+    def test_measures_each_angle_once(self, monkeypatch):
+        calls = Counter()
+        scaled_rays = morley.kernel._scaled_rays
+
+        def counting(*args):
+            calls["_scaled_rays"] += 1
+            return scaled_rays(*args)
+
+        monkeypatch.setattr(morley.kernel, "_scaled_rays", counting)
+        morley_triangle(Triangle(Point(0.0, 0.0), Point(4.0, 0.0), Point(0.0, 3.0)))
+        assert calls["_scaled_rays"] == 3
+
+    def test_builds_few_points_per_sample(self, monkeypatch):
+        calls = Counter()
+        init = Point.__init__
+
+        def counting(self, x, y):
+            calls["Point"] += 1
+            init(self, x, y)
+
+        monkeypatch.setattr(Point, "__init__", counting)
+        run_battery(samples=3, seed=7)
+        # Intermediate vectors stay floats; the limit probes' points are
+        # spread over only three samples here.
+        assert calls["Point"] <= 3 * 120
+
 
 def _reference_battery(samples, seed):
     """run_battery with every check recomputing what it needs, as before
@@ -354,7 +380,7 @@ def _reference_battery(samples, seed):
         cfg = construct(inner, angles)
         batch = [
             *check_angle_identities(cfg, ANGLE_TOL).checks,
-            *check_isosceles_arcs(cfg, ISOSCELES_RTOL).checks,
+            *check_isosceles_arcs(cfg).checks,
             *check_outer_angles(cfg, ANGLE_TOL).checks,
         ]
         rebuilt = construct(inner, angles)
