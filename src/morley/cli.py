@@ -213,6 +213,8 @@ def cmd_limit(args: argparse.Namespace) -> int:
     if args.a is not None:
         try:
             summary = check_limit_perpendicular(args.a, inner)
+        except GeometryError:  # a failed construction: main maps it
+            raise
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

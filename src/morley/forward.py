@@ -10,7 +10,6 @@ triangle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .kernel import (
     DegenerateTriangle,
@@ -30,26 +29,11 @@ MIN_TRIANGLE_ANGLE = 1e-6
 RAY_PARAM_SLACK = 1e-9
 
 
-@dataclass(frozen=True, slots=True)
-class Ray:
-    """Origin plus unit direction."""
+def trisectors(triangle: Triangle, vertex_index: int) -> tuple[Point, Point]:
+    """Unit directions of the two interior angle trisectors at a vertex.
 
-    origin: Point
-    direction: Point
-
-    def __post_init__(self) -> None:
-        if abs(self.direction.norm() - 1.0) > 1e-12:
-            raise GeometryError(f"direction {self.direction} is not unit length")
-
-    def point_at(self, t: float) -> Point:
-        return self.origin + self.direction * t
-
-
-def trisectors(triangle: Triangle, vertex_index: int) -> tuple[Ray, Ray]:
-    """The two interior angle trisectors at a vertex (1-based index).
-
-    Both rays start at the vertex.  The first makes an angle of one
-    third of the interior angle with the side toward the next vertex
+    The vertex index is 1-based.  The first direction makes an angle of
+    one third of the interior angle with the side toward the next vertex
     (in the triangle's vertex order), the second two thirds.
     """
     v = triangle.vertex(vertex_index)
@@ -60,12 +44,13 @@ def trisectors(triangle: Triangle, vertex_index: int) -> tuple[Ray, Ray]:
         raise DegenerateTriangle(
             f"interior angle {abs(turn):.3e} at vertex {vertex_index} is too small"
         )
-    return _trisectors(v, nxt, turn)
+    first, second = _trisectors(v, nxt, turn)
+    return Point(*first), Point(*second)
 
 
-def _trisectors(v: Point, nxt: Point, turn: float) -> tuple[Ray, Ray]:
-    """Trisectors at v, given ``turn = signed_angle(v, nxt, prv)``: its
-    magnitude is the interior angle and its sign the way into the
+def _trisectors(v: Point, nxt: Point, turn: float) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Trisector directions at v, given ``turn = signed_angle(v, nxt, prv)``:
+    its magnitude is the interior angle and its sign the way into the
     triangle from the side v->nxt."""
     theta = abs(turn)
     into = 1.0 if turn > 0.0 else -1.0
@@ -76,8 +61,8 @@ def _trisectors(v: Point, nxt: Point, turn: float) -> tuple[Ray, Ray]:
     return _ray(v, bx, by, into * theta / 3.0), _ray(v, bx, by, into * 2.0 * theta / 3.0)
 
 
-def _ray(v: Point, bx: float, by: float, angle: float) -> Ray:
-    """The unit vector (bx, by) turned by ``angle``, as a ray from v.
+def _ray(v: Point, bx: float, by: float, angle: float) -> tuple[float, float]:
+    """The unit vector (bx, by) turned by ``angle`` about v.
 
     This is rotate_about(base + v, v, angle) - v, renormalized, one float
     operation for each of the Point operations it stands for.  Against a
@@ -90,23 +75,26 @@ def _ray(v: Point, bx: float, by: float, angle: float) -> Ray:
     dx, dy = (bx + vx) - vx, (by + vy) - vy
     rx, ry = vx + c * dx - s * dy - vx, vy + s * dx + c * dy - vy
     n = math.hypot(rx, ry)
-    return Ray(v, Point(rx / n, ry / n))
+    ux, uy = rx / n, ry / n
+    require_finite(ux, uy)
+    return ux, uy
 
 
-def _intersect_rays(r1: Ray, r2: Ray, scale: float) -> Point:
-    o1, d1, d2 = r1.origin, r1.direction, r2.direction
-    denom = d1.x * d2.y - d1.y * d2.x
+def _meet(o1: Point, d1: tuple[float, float], o2: Point, d2: tuple[float, float], scale: float) -> Point:
+    """Meet of the trisectors from o1 along d1 and from o2 along d2."""
+    (d1x, d1y), (d2x, d2y) = d1, d2
+    denom = d1x * d2y - d1y * d2x
     if abs(denom) <= 1e-12:
-        raise NearParallel(f"trisector rays {r1} and {r2} are (nearly) parallel")
-    wx, wy = r2.origin.x - o1.x, r2.origin.y - o1.y
-    t1 = (wx * d2.y - wy * d2.x) / denom
-    t2 = (wx * d1.y - wy * d1.x) / denom
+        raise NearParallel(f"trisectors from {o1} and {o2} are (nearly) parallel")
+    wx, wy = o2.x - o1.x, o2.y - o1.y
+    t1 = (wx * d2y - wy * d2x) / denom
+    t2 = (wx * d1y - wy * d1x) / denom
     slack = RAY_PARAM_SLACK * scale
     if t1 < -slack or t2 < -slack:
         raise NearParallel(
             f"trisector rays meet behind an origin (t1={t1:.3e}, t2={t2:.3e})"
         )
-    return Point(o1.x + d1.x * t1, o1.y + d1.y * t1)
+    return Point(o1.x + d1x * t1, o1.y + d1y * t1)
 
 
 def morley_triangle(triangle: Triangle) -> Triangle:
@@ -127,9 +115,9 @@ def morley_triangle(triangle: Triangle) -> Triangle:
     first_3, second_3 = _trisectors(v3, v1, turn_3)
     # At each vertex, `first` hugs the side toward the next vertex and
     # `second` hugs the side toward the previous one.
-    near_bc = _intersect_rays(first_2, second_3, scale)
-    near_ca = _intersect_rays(first_3, second_1, scale)
-    near_ab = _intersect_rays(first_1, second_2, scale)
+    near_bc = _meet(v2, first_2, v3, second_3, scale)
+    near_ca = _meet(v3, first_3, v1, second_1, scale)
+    near_ab = _meet(v1, first_1, v2, second_2, scale)
     return Triangle(near_bc, near_ca, near_ab, ("A'", "B'", "C'"))
 
 

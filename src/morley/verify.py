@@ -108,7 +108,8 @@ def polygon_interior_angles(points: Sequence[Point]) -> list[float]:
 
     The exterior turn at each vertex is signed; the polygon's overall
     winding decides which side counts as interior, so the result is
-    independent of whether the vertices run clockwise or not.
+    independent of whether the vertices run clockwise or not.  Each turn
+    is taken from its two edges after their unit_scale, at any scale.
     """
     n = len(points)
     if n < 3:
@@ -120,6 +121,8 @@ def polygon_interior_angles(points: Sequence[Point]) -> list[float]:
         require_finite(ux, uy)
         vx, vy = succ.x - here.x, succ.y - here.y
         require_finite(vx, vy)
+        k = unit_scale(max(abs(ux), abs(uy), abs(vx), abs(vy)))
+        ux, uy, vx, vy = ux * k, uy * k, vx * k, vy * k
         turns.append(math.atan2(ux * vy - uy * vx, ux * vx + uy * vy))
     winding = 1.0 if sum(turns) > 0.0 else -1.0
     return [math.pi - winding * t for t in turns]

@@ -141,6 +141,12 @@ class TestLimitCommand:
         assert rc == 2
         assert "must lie in" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("probe", [[], ["--a", "1e-3"]])
+    def test_failed_construction_exits_three(self, capsys, probe):
+        rc = main(["limit", "--side", "1e308", *probe])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("construction failed: ")
+
 
 class TestRenderCommand:
     def test_from_document_matches_direct_render(self, tmp_path):

@@ -1,10 +1,10 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
 from morley.forward import (
-    Ray,
     apply_similarity,
     morley_triangle,
     side_spread,
@@ -38,25 +38,12 @@ def unit_equilateral() -> Triangle:
     return Triangle(Point(0.0, 0.0), Point(1.0, 0.0), Point(0.5, math.sqrt(3.0) / 2.0))
 
 
-class TestRay:
-    def test_accepts_unit_direction(self):
-        r = Ray(Point(1.0, 1.0), Point(0.0, 1.0))
-        assert r.point_at(2.0) == Point(1.0, 3.0)
-
-    def test_rejects_non_unit_direction(self):
-        with pytest.raises(GeometryError):
-            Ray(Point(0.0, 0.0), Point(1.0, 1.0))
-
-
 class TestTrisectors:
     def test_right_angle_splits_into_thirty_degree_rays(self):
         t = Triangle(Point(0.0, 0.0), Point(1.0, 0.0), Point(0.0, 1.0))
         first, second = trisectors(t, 1)
-        assert first.origin == Point(0.0, 0.0)
-        assert first.direction.distance_to(
-            Point(math.cos(math.pi / 6.0), math.sin(math.pi / 6.0))
-        ) <= 1e-15
-        assert second.direction.distance_to(
+        assert first.distance_to(Point(math.cos(math.pi / 6.0), math.sin(math.pi / 6.0))) <= 1e-15
+        assert second.distance_to(
             Point(math.cos(math.pi / 3.0), math.sin(math.pi / 3.0))
         ) <= 1e-15
 
@@ -66,7 +53,7 @@ class TestTrisectors:
         first, _ = trisectors(t, 1)
         # Side toward the next vertex points up; the trisector must
         # turn toward the interior, which lies clockwise from it.
-        assert first.direction.x > 0.0
+        assert first.x > 0.0
 
     def test_rays_divide_angle_in_thirds(self):
         rng = random.Random(21)
@@ -78,13 +65,15 @@ class TestTrisectors:
                 prv = t.vertex((index + 1) % 3 + 1)
                 theta = angle_at(v, nxt, prv)
                 first, second = trisectors(t, index)
-                assert angle_at(v, nxt, v + first.direction) == pytest.approx(
+                assert first.norm() == pytest.approx(1.0, abs=1e-15)
+                assert second.norm() == pytest.approx(1.0, abs=1e-15)
+                assert angle_at(v, nxt, v + first) == pytest.approx(
                     theta / 3.0, abs=1e-12
                 )
-                assert angle_at(v, nxt, v + second.direction) == pytest.approx(
+                assert angle_at(v, nxt, v + second) == pytest.approx(
                     2.0 * theta / 3.0, abs=1e-12
                 )
-                assert angle_at(v, v + second.direction, prv) == pytest.approx(
+                assert angle_at(v, v + second, prv) == pytest.approx(
                     theta / 3.0, abs=1e-12
                 )
 
@@ -162,6 +151,20 @@ class TestMorleyTriangle:
         t = Triangle(Point(0.0, 0.0), Point(1.0, 0.0), Point(2.0, 1e-8))
         with pytest.raises(DegenerateTriangle):
             morley_triangle(t)
+
+    def test_builds_only_the_three_meets(self, monkeypatch):
+        t = Triangle(Point(0.0, 0.0), Point(4.0, 0.0), Point(0.0, 3.0))
+        calls = Counter()
+        init = Point.__init__
+
+        def counting(self, x, y):
+            calls["Point"] += 1
+            init(self, x, y)
+
+        monkeypatch.setattr(Point, "__init__", counting)
+        morley_triangle(t)
+        # Trisector directions stay floats until the meets.
+        assert calls["Point"] == 3
 
 
 class TestApplySimilarity:

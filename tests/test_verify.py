@@ -113,6 +113,13 @@ class TestAngleIdentities:
                 assert report.expected == 3.0 * math.pi
                 assert report.abs_error <= 1e-12
 
+    @pytest.mark.parametrize("side", [1e-300, 1e-200, 1e-160, 1e160, 1e200, 1e300])
+    def test_all_pass_at_extreme_scales(self, side):
+        # Unscaled, the pentagon turns' products overflow to NaN or
+        # underflow to a wrong winding at these sides.
+        summary = check_angle_identities(named_config(side=side))
+        assert [r.name for r in summary.checks if not r.passed] == []
+
     def test_pentagon_sums_are_correctly_rounded(self):
         # math.fsum, not the built-in sum, whose float result changed in
         # Python 3.12: the battery report must not depend on the version.
