@@ -2,15 +2,15 @@
 
 Emission is deterministic: fixed key order, two-space indentation and
 floats printed by ``repr``, the shortest text that parses back to the
-identical double.  The configuration and forward documents are streamed
-through the standard library encoder into one buffer.  The verification
-report writes each check from one fixed record template instead: with
-``indent`` set the stdlib encoder runs in pure Python, which made it the
-costliest step of a large battery.  The template prints strings with the
-encoder's own ``encode_basestring_ascii`` and numbers by the encoder's
-rule, so its output is byte for byte what ``json.JSONEncoder(indent=2)``
-gives; tests/test_document.py pins that against the encoder on arbitrary
-reports.  parse_config_document inverts config_document exactly.
+identical double.  Every document fills ``%s`` slots in fixed text: with
+``indent`` set the stdlib encoder runs in pure Python, the costliest step
+of a large battery and of a single figure.  The encoder only lays out
+the configuration and forward templates, once at import; the report
+and the forward points repeat a fixed record.  Strings go through the
+encoder's own ``encode_basestring_ascii`` and numbers through its rule,
+so each document is byte for byte what ``json.JSONEncoder(indent=2)``
+gives; tests/test_document.py pins that against the encoder.
+parse_config_document inverts config_document exactly.
 """
 
 from __future__ import annotations
@@ -31,38 +31,46 @@ from .inverse import (
     POINT_NAMES,
     AngleTriple,
     MorleyConfiguration,
+    _side_lines,
 )
 from .kernel import Circle, Point, Triangle
 from .verify import VerificationSummary
 
 
-def _dump(doc: dict[str, Any]) -> str:
-    # The encoder json.dump would use, with its chunks handed to the buffer
-    # in one call instead of json.dump's Python-level write loop.
-    out = io.StringIO()
-    out.writelines(json.JSONEncoder(indent=2).iterencode(doc))
-    out.write("\n")
-    return out.getvalue()
+# Stands for a value in a skeleton document; no key or label contains it.
+_SLOT = "\0"
 
 
-def _point_pair(p: Point) -> list[float]:
-    return [p.x, p.y]
+def _layout(skeleton: dict[str, Any]) -> str:
+    """What json.JSONEncoder(indent=2) writes for skeleton, with a %s slot for each _SLOT."""
+    text = json.JSONEncoder(indent=2).encode(skeleton)
+    return text.replace("%", "%%").replace(encode_basestring_ascii(_SLOT), "%s") + "\n"
 
 
-def config_document(cfg: MorleyConfiguration) -> str:
-    """Serialize a configuration; inverted exactly by parse_config_document."""
-    doc = {
-        "angles": dict(zip("abc", cfg.angles.as_tuple())),
-        "points": {name: _point_pair(p) for name, p in cfg.named_points().items()},
+# Slots: the angles, x and y of each point, then each arc's center and radius.
+_CONFIG_TEMPLATE = _layout(
+    {
+        "angles": dict.fromkeys("abc", _SLOT),
+        "points": dict.fromkeys(POINT_NAMES, [_SLOT, _SLOT]),
         "arcs": {
-            key: {"center": _point_pair(arc.center), "radius": arc.radius, "chord": list(chord)}
-            for (key, chord), arc in zip(ARC_CHORD_NAMES.items(), cfg.circles)
+            key: {"center": [_SLOT, _SLOT], "radius": _SLOT, "chord": list(chord)}
+            for key, chord in ARC_CHORD_NAMES.items()
         },
         "lines": {key: list(names) for key, names in LINE_POINT_NAMES.items()},
         "inner": list(INNER_NAMES),
         "outer": list(OUTER_NAMES),
     }
-    return _dump(doc)
+)
+
+
+def config_document(cfg: MorleyConfiguration) -> str:
+    """Serialize a configuration; inverted exactly by parse_config_document."""
+    values = [*cfg.angles.as_tuple()]
+    for p in cfg.named_points().values():
+        values += (p.x, p.y)
+    for arc in cfg.circles:
+        values += (arc.center.x, arc.center.y, arc.radius)
+    return _CONFIG_TEMPLATE % tuple(map(_number, values))
 
 
 def parse_config_document(text: str) -> MorleyConfiguration:
@@ -70,18 +78,21 @@ def parse_config_document(text: str) -> MorleyConfiguration:
 
     Arcs and side lines follow ARC_CHORD_NAMES and LINE_POINT_NAMES; the
     document's "chord", "lines", "inner" and "outer" entries only
-    describe those tables to other readers.
+    describe those tables to other readers.  A side line through two
+    coincident points raises DegenerateLine, as construct does.
     """
     data = json.loads(text)
     points = {name: Point(*data["points"][name]) for name in POINT_NAMES}
     arcs = data["arcs"]
-    return MorleyConfiguration(
+    cfg = MorleyConfiguration(
         angles=AngleTriple(*(data["angles"][key] for key in "abc")),
         inner=Triangle(*(points[name] for name in INNER_NAMES), INNER_NAMES),
         outer=Triangle(*(points[name] for name in OUTER_NAMES), OUTER_NAMES),
         circles=tuple(Circle(Point(*arcs[key]["center"]), arcs[key]["radius"]) for key in ARC_CHORD_NAMES),
         arc_points=tuple(points[name] for name in ARC_POINT_NAMES),
     )
+    _side_lines(points)
+    return cfg
 
 
 # One check of the report, laid out as json.JSONEncoder(indent=2) lays
@@ -99,19 +110,28 @@ _CHECK_RECORD = (
 )
 
 
-def _number(value: float) -> str:
+# The block of points, then the three Morley labels and the side spread.
+_FORWARD_TEMPLATE = _layout({"points": _SLOT, "morley": [_SLOT] * 3, "side_spread": _SLOT})
+
+# One entry of the forward document's "points", as the encoder lays it out.
+_POINT_RECORD = "    %s: [\n      %s,\n      %s\n    ]"
+
+
+def _number(value: Any) -> str:
     # The encoder's rule: float.__repr__ (so a float subclass prints as a
-    # float), JavaScript names for the non-finite values, int.__repr__ for
-    # an int.
+    # float), JavaScript names for the non-finite values, true or false for
+    # a bool, int.__repr__ for another int, and its error for other types.
     if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
         if value != value:
             return "NaN"
-        if value == math.inf:
-            return "Infinity"
-        if value == -math.inf:
-            return "-Infinity"
-        return float.__repr__(value)
-    return int.__repr__(value)
+        return "Infinity" if value > 0.0 else "-Infinity"
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 
 def summary_document(summary: VerificationSummary) -> str:
@@ -146,12 +166,14 @@ def summary_document(summary: VerificationSummary) -> str:
 
 
 def forward_document(outer: Triangle, morley: Triangle) -> str:
-    """Serialize a triangle and its trisector triangle."""
-    names = list(outer.labels) + list(morley.labels)
-    points = list(outer.vertices) + list(morley.vertices)
-    doc = {
-        "points": {name: _point_pair(point) for name, point in zip(names, points)},
-        "morley": list(morley.labels),
-        "side_spread": side_spread(morley),
-    }
-    return _dump(doc)
+    """Serialize a triangle and its trisector triangle; a label given
+    twice is listed once, where it first appears, with its last point."""
+    points = dict(zip((*outer.labels, *morley.labels), (*outer.vertices, *morley.vertices)))
+    block = ",\n".join(
+        _POINT_RECORD % (encode_basestring_ascii(name), _number(p.x), _number(p.y)) for name, p in points.items()
+    )
+    return _FORWARD_TEMPLATE % (
+        "{\n%s\n  }" % block,
+        *map(encode_basestring_ascii, morley.labels),
+        _number(side_spread(morley)),
+    )

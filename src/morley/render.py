@@ -4,7 +4,10 @@ The same input always yields byte-identical output: element order is
 fixed, coordinates are printed with 9 significant digits, and all
 styling is inlined.  Scene coordinates keep the library's y-up
 convention and are flipped only at emission, so figures appear in the
-usual mathematical orientation.
+usual mathematical orientation.  A drawing builds no Point: positions
+and the vectors derived from them are (x, y) float pairs, each float step
+standing for the Point operation it replaces and checked by _finite where
+that could go non-finite, so a drawing fails as the Point would.
 
 Style lengths (stroke width, point radius, font size) are fractions of
 the scene extent, which makes drawings of any absolute size look the
@@ -19,7 +22,7 @@ from typing import Callable
 
 from .forward import morley_triangle
 from .inverse import ARC_CHORD_NAMES, LINE_POINT_NAMES, LINE_VERTEX_NAMES, MorleyConfiguration
-from .kernel import Circle, GeometryError, Point, Triangle, signed_angle
+from .kernel import Circle, GeometryError, Point, Triangle, require_finite, signed_angle
 
 _COL_ARC = "#9aa0a6"
 _COL_CONSTRUCTION = "#4878cf"
@@ -32,6 +35,8 @@ _COL_FILL = "#f2c14e"
 STROKE_WIDTH = 0.008
 POINT_RADIUS = 0.018
 FONT_SIZE = 0.07
+
+_XY = tuple[float, float]
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,33 +67,34 @@ class TrisectionScene:
 def _f(x: float) -> str:
     if x == 0.0:
         return "0"
-    return f"{x:.9g}"
+    return "%.9g" % x
 
 
-def _flip(p: Point) -> tuple[float, float]:
-    return (p.x, -p.y)
+def _finite(x: float, y: float) -> _XY:
+    require_finite(x, y)
+    return x, y
 
 
-def _arc_extremes(circle: Circle, start: Point, end: Point, direction: float) -> list[Point]:
-    """Points bounding the arc from start to end that turns in
-    ``direction`` (+1.0 counter-clockwise, -1.0 clockwise): the
-    endpoints plus the axis extremes the arc covers."""
-    center = circle.center
-    theta_s = math.atan2(start.y - center.y, start.x - center.x)
-    theta_e = math.atan2(end.y - center.y, end.x - center.x)
+def _arc_extremes(circle: Circle, start: Point, end: Point, direction: float) -> list[_XY]:
+    """The axis extremes covered by the arc from start to end that turns
+    in ``direction`` (+1.0 counter-clockwise, -1.0 clockwise), as (x, y)
+    pairs; its endpoints are named points, framed with the others."""
+    cx, cy, r = circle.center.x, circle.center.y, circle.radius
+    theta_s = math.atan2(start.y - cy, start.x - cx)
+    theta_e = math.atan2(end.y - cy, end.x - cx)
     span = (direction * (theta_e - theta_s)) % (2.0 * math.pi)
-    points = [start, end]
+    points = []
     for k in range(4):
         phi = k * math.pi / 2.0
         if (direction * (phi - theta_s)) % (2.0 * math.pi) <= span:
-            points.append(center + Point(math.cos(phi), math.sin(phi)) * circle.radius)
+            points.append(_finite(cx + math.cos(phi) * r, cy + math.sin(phi) * r))
     return points
 
 
-def _bbox(points: list[Point]) -> tuple[float, float, float, float, float]:
+def _bbox(points: list[_XY]) -> tuple[float, float, float, float, float]:
     """Bounds in flipped coordinates, padded by 5% a side, plus the raw extent."""
-    xs = [p.x for p in points]
-    ys = [-p.y for p in points]
+    xs = [x for x, _ in points]
+    ys = [-y for _, y in points]
     min_x, max_x = min(xs), max(xs)
     min_y, max_y = min(ys), max(ys)
     width = max_x - min_x
@@ -101,17 +107,17 @@ def _bbox(points: list[Point]) -> tuple[float, float, float, float, float]:
     return (min_x - pad_x, min_y - pad_y, width + 2.0 * pad_x, height + 2.0 * pad_y, extent)
 
 
-def _line_element(p: Point, q: Point, cls: str, stroke: str, width: float) -> str:
-    (x1, y1), (x2, y2) = _flip(p), _flip(q)
+def _line_element(p: _XY, q: _XY, cls: str, stroke: str, width: str) -> str:
+    (x1, y1), (x2, y2) = p, q
     return (
-        f'<line class="{cls}" x1="{_f(x1)}" y1="{_f(y1)}" x2="{_f(x2)}" y2="{_f(y2)}"'
-        f' stroke="{stroke}" stroke-width="{_f(width)}"/>'
+        f'<line class="{cls}" x1="{_f(x1)}" y1="{_f(-y1)}" x2="{_f(x2)}" y2="{_f(-y2)}"'
+        f' stroke="{stroke}" stroke-width="{width}"/>'
     )
 
 
 def _edges(triangle: Triangle, cls: str, stroke: str, width: float) -> list[str]:
-    v = triangle.vertices
-    return [_line_element(v[i], v[(i + 1) % 3], cls, stroke, 1.5 * width) for i in range(3)]
+    v, w = [(p.x, p.y) for p in triangle.vertices], _f(1.5 * width)
+    return [_line_element(v[i], v[(i + 1) % 3], cls, stroke, w) for i in range(3)]
 
 
 def _dots(points: tuple[Point, ...], cls: str, fill: str, radius: float) -> list[str]:
@@ -119,35 +125,35 @@ def _dots(points: tuple[Point, ...], cls: str, fill: str, radius: float) -> list
     return [f'<circle class="{cls}" cx="{_f(p.x)}" cy="{_f(-p.y)}" r="{r}" fill="{fill}"/>' for p in points]
 
 
-def _label_positions(points: dict[str, Point], offset: float) -> dict[str, Point]:
+def _label_positions(points: dict[str, _XY], offset: float) -> dict[str, _XY]:
     """Each point pushed ``offset`` away from the centroid of all of them
     (straight up for a point that sits on the centroid)."""
     n = len(points)
-    cx = sum(p.x for p in points.values()) / n
-    cy = sum(p.y for p in points.values()) / n
-    center = Point(cx, cy)
+    cx, cy = _finite(sum(x for x, _ in points.values()) / n, sum(y for _, y in points.values()) / n)
     out = {}
-    for name, p in points.items():
-        d = p - center
-        norm = d.norm()
-        direction = Point(0.0, 1.0) if norm <= 1e-12 * offset else d * (1.0 / norm)
-        out[name] = p + direction * offset
+    for name, (x, y) in points.items():
+        dx, dy = _finite(x - cx, y - cy)
+        norm = math.hypot(dx, dy)
+        ux, uy = (0.0, 1.0) if norm <= 1e-12 * offset else _finite(dx * (1.0 / norm), dy * (1.0 / norm))
+        out[name] = _finite(x + ux * offset, y + uy * offset)
     return out
 
 
-def _carrier_segment(p: Point, q: Point, through: list[Point]) -> tuple[Point, Point]:
+def _carrier_segment(p: _XY, q: _XY, through: list[_XY]) -> tuple[_XY, _XY]:
     """Segment along line pq covering pq and every projected point, with
     8% of that span added at each end."""
-    d = q - p
-    length = d.norm()
-    u = d * (1.0 / length)
-    ts = [0.0, length] + [u.dot(r - p) for r in through]
+    (px, py), (qx, qy) = p, q
+    dx, dy = _finite(qx - px, qy - py)
+    length = math.hypot(dx, dy)
+    ux, uy = _finite(dx * (1.0 / length), dy * (1.0 / length))
+    ts = [0.0, length] + [ux * wx + uy * wy for wx, wy in (_finite(rx - px, ry - py) for rx, ry in through)]
     lo, hi = min(ts), max(ts)
     span = hi - lo
-    return p + u * (lo - 0.08 * span), p + u * (hi + 0.08 * span)
+    a, b = lo - 0.08 * span, hi + 0.08 * span
+    return _finite(px + ux * a, py + uy * a), _finite(px + ux * b, py + uy * b)
 
 
-def _svg(points: dict[str, Point], extra: list[Point], labels: bool, draw: Callable[[float, float], list[str]]) -> str:
+def _svg(points: dict[str, _XY], extra: list[_XY], labels: bool, draw: Callable[[float, float], list[str]]) -> str:
     """A complete drawing framed around ``points`` and ``extra``: the
     scene's own elements from ``draw(stroke_width, point_radius)``, then,
     if ``labels``, the name of each of ``points``."""
@@ -156,10 +162,10 @@ def _svg(points: dict[str, Point], extra: list[Point], labels: bool, draw: Calla
     elements = draw(STROKE_WIDTH * extent, radius)
     if labels:
         size = _f(FONT_SIZE * extent)
-        for name, at in _label_positions(points, 2.4 * radius).items():
+        for name, (x, y) in _label_positions(points, 2.4 * radius).items():
             escaped = name.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
             elements.append(
-                f'<text class="label" x="{_f(at.x)}" y="{_f(-at.y)}" font-size="{size}"'
+                f'<text class="label" x="{_f(x)}" y="{_f(-y)}" font-size="{size}"'
                 f' fill="{_COL_LABEL}" text-anchor="middle">{escaped}</text>'
             )
     header = (
@@ -171,21 +177,21 @@ def _svg(points: dict[str, Point], extra: list[Point], labels: bool, draw: Calla
 
 
 def _render_config(cfg: MorleyConfiguration, arcs: bool, labels: bool) -> str:
-    points = cfg.named_points()
+    named = cfg.named_points()
+    points = {name: (p.x, p.y) for name, p in named.items()}
     paths: list[str] = []
-    extremes: list[Point] = []
+    extremes: list[_XY] = []
     if arcs:
         for circle, (p_name, q_name) in zip(cfg.circles, ARC_CHORD_NAMES.values()):
-            start, end = points[p_name], points[q_name]
+            start, end = named[p_name], named[q_name]
             short_way = 1.0 if signed_angle(circle.center, start, end) > 0.0 else -1.0
             # The drawn arc is the major one: from start the long way round,
             # which passes through both placed points.  In emitted (y-down)
             # coordinates that traversal turns in the direction of
             # short_way, hence the sweep flag.
             sweep = 1 if short_way > 0.0 else 0
-            (x1, y1), (x2, y2) = _flip(start), _flip(end)
             r = _f(circle.radius)
-            paths.append(f"M {_f(x1)} {_f(y1)} A {r} {r} 0 1 {sweep} {_f(x2)} {_f(y2)}")
+            paths.append(f"M {_f(start.x)} {_f(-start.y)} A {r} {r} 0 1 {sweep} {_f(end.x)} {_f(-end.y)}")
             extremes.extend(_arc_extremes(circle, start, end, -short_way))
     carriers = [
         _carrier_segment(points[i_name], points[j_name], [points[name] for name in LINE_VERTEX_NAMES[key]])
@@ -193,14 +199,15 @@ def _render_config(cfg: MorleyConfiguration, arcs: bool, labels: bool) -> str:
     ]
 
     def draw(width: float, radius: float) -> list[str]:
+        w = _f(width)
         dash = f"{_f(4.0 * width)} {_f(3.0 * width)}"
         return [
             *(
                 f'<path class="arc" d="{path}" fill="none" stroke="{_COL_ARC}"'
-                f' stroke-width="{_f(width)}" stroke-dasharray="{dash}"/>'
+                f' stroke-width="{w}" stroke-dasharray="{dash}"/>'
                 for path in paths
             ),
-            *(_line_element(lo, hi, "construction-line", _COL_CONSTRUCTION, width) for lo, hi in carriers),
+            *(_line_element(lo, hi, "construction-line", _COL_CONSTRUCTION, w) for lo, hi in carriers),
             *_edges(cfg.inner, "edge-inner", _COL_INNER, width),
             *_edges(cfg.outer, "edge-outer", _COL_OUTER, width),
             *_dots(cfg.arc_points, "point-ij", _COL_CONSTRUCTION, radius),
@@ -213,13 +220,14 @@ def _render_config(cfg: MorleyConfiguration, arcs: bool, labels: bool) -> str:
 
 def _render_trisection(scene: TrisectionScene, labels: bool) -> str:
     outer, inner = scene.outer, scene.morley
-    points = dict(zip((*outer.labels, *inner.labels), (*outer.vertices, *inner.vertices)))
+    points = {name: (p.x, p.y) for name, p in zip((*outer.labels, *inner.labels), (*outer.vertices, *inner.vertices))}
 
     def draw(width: float, radius: float) -> list[str]:
-        corners = " ".join(f"{_f(x)},{_f(y)}" for x, y in map(_flip, inner.vertices))
+        w, segments = _f(width), scene.trisector_segments()
+        corners = " ".join(f"{_f(p.x)},{_f(-p.y)}" for p in inner.vertices)
         return [
             f'<polygon class="morley-fill" points="{corners}" fill="{_COL_FILL}" fill-opacity="0.45"/>',
-            *(_line_element(p, q, "trisector", _COL_CONSTRUCTION, width) for p, q in scene.trisector_segments()),
+            *(_line_element((p.x, p.y), (q.x, q.y), "trisector", _COL_CONSTRUCTION, w) for p, q in segments),
             *_edges(outer, "edge-outer", _COL_OUTER, width),
             *_edges(inner, "edge-inner", _COL_INNER, width),
             *_dots(outer.vertices, "point-vertex", _COL_OUTER, radius),

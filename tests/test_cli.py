@@ -202,6 +202,18 @@ class TestRenderCommand:
             assert rc == 2
             assert "cannot parse" in capsys.readouterr().err
 
+    def test_side_line_through_coincident_points_exits_two(self, capsys, tmp_path):
+        # Side line AB runs through I_a and J_b; with the two equal it has
+        # no direction, so no carrier segment can be drawn along it.
+        cfg = construct(equilateral_triangle(), AngleTriple.from_degrees(20.0, 15.0, 25.0))
+        data = json.loads(config_document(cfg))
+        data["points"]["J_b"] = data["points"]["I_a"]
+        doc = tmp_path / "cfg.json"
+        doc.write_text(json.dumps(data))
+        rc = main(["render", "--json", str(doc), "--svg", str(tmp_path / "x.svg")])
+        assert rc == 2
+        assert "cannot parse" in capsys.readouterr().err
+
     def test_missing_file_exits_two(self, capsys, tmp_path):
         rc = main(["render", "--json", str(tmp_path / "nope.json"), "--svg", str(tmp_path / "x.svg")])
         assert rc == 2

@@ -3,7 +3,7 @@ import json
 import math
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from morley.document import (
@@ -12,9 +12,17 @@ from morley.document import (
     parse_config_document,
     summary_document,
 )
-from morley.forward import morley_triangle
-from morley.inverse import AngleTriple, construct, equilateral_triangle
-from morley.kernel import Point, Triangle
+from morley.forward import morley_triangle, side_spread
+from morley.inverse import (
+    ARC_CHORD_NAMES,
+    INNER_NAMES,
+    LINE_POINT_NAMES,
+    OUTER_NAMES,
+    AngleTriple,
+    construct,
+    equilateral_triangle,
+)
+from morley.kernel import GeometryError, Point, Triangle
 from morley.verify import CheckReport, run_battery, summarize
 
 
@@ -119,6 +127,7 @@ _numbers = st.one_of(
     st.floats(),
     st.floats().map(_OwnReprFloat),
     st.integers(-(10**18), 10**18),
+    st.booleans(),
 )
 _reports = st.builds(
     CheckReport,
@@ -155,6 +164,122 @@ class TestSummaryMatchesStdlibEncoder:
     def test_bytes_equal_the_encoder(self, reports, seed, samples):
         summary = summarize(reports, seed, samples)
         assert summary_document(summary) == _encoder_summary(summary)
+
+
+def _encode(doc):
+    return "".join(json.JSONEncoder(indent=2).iterencode(doc)) + "\n"
+
+
+def _encoder_config(cfg):
+    """The configuration document as the stdlib encoder writes it."""
+    return _encode(
+        {
+            "angles": dict(zip("abc", cfg.angles.as_tuple())),
+            "points": {name: [p.x, p.y] for name, p in cfg.named_points().items()},
+            "arcs": {
+                key: {"center": [arc.center.x, arc.center.y], "radius": arc.radius, "chord": list(chord)}
+                for (key, chord), arc in zip(ARC_CHORD_NAMES.items(), cfg.circles)
+            },
+            "lines": {key: list(names) for key, names in LINE_POINT_NAMES.items()},
+            "inner": list(INNER_NAMES),
+            "outer": list(OUTER_NAMES),
+        }
+    )
+
+
+def _encoder_forward(outer, morley):
+    """The forward document as the stdlib encoder writes it."""
+    names = (*outer.labels, *morley.labels)
+    return _encode(
+        {
+            "points": {name: [p.x, p.y] for name, p in zip(names, (*outer.vertices, *morley.vertices))},
+            "morley": list(morley.labels),
+            "side_spread": side_spread(morley),
+        }
+    )
+
+
+@st.composite
+def _configurations(draw):
+    """Constructed at a log-uniform side in 1e-300..1e300."""
+    side = 10.0 ** draw(st.floats(-300.0, 300.0))
+    u, v = draw(st.floats(0.02, 0.98)), draw(st.floats(0.02, 0.98))
+    a = u * math.pi / 3.0
+    b = (1.0 - u) * v * math.pi / 3.0
+    try:
+        return construct(equilateral_triangle(side), AngleTriple(a, b, math.pi / 3.0 - a - b))
+    except GeometryError:
+        assume(False)
+
+
+# Numbers json.loads can give where the document holds a radius or a
+# coordinate, and that the configuration accepts there.
+_parsed_numbers = st.one_of(st.just(True), st.integers(1, 10**300), st.floats(1e-300, 1e300))
+
+
+class TestConfigMatchesStdlibEncoder:
+    @given(cfg=_configurations())
+    def test_constructed(self, cfg):
+        assert config_document(cfg) == _encoder_config(cfg)
+
+    @given(
+        cfg=_configurations(),
+        radius=_parsed_numbers,
+        x=_parsed_numbers | st.just(False),
+        angle=st.sampled_from([None, 1, True]),
+    )
+    def test_parsed(self, cfg, radius, x, angle):
+        data = json.loads(config_document(cfg))
+        data["arcs"]["b"]["radius"] = radius
+        data["points"]["J_c"][0] = x
+        if angle is not None:
+            rest = math.pi / 3.0 - 1.0
+            data["angles"] = {"a": angle, "b": rest / 2.0, "c": rest - rest / 2.0}
+        try:
+            parsed = parse_config_document(json.dumps(data))
+        except GeometryError:
+            assume(False)
+        assert config_document(parsed) == _encoder_config(parsed)
+
+
+_labels = st.tuples(*[st.sampled_from(["A", "A'", "B'"]) | _names] * 3)
+
+
+@st.composite
+def _triangles(draw):
+    """A side of 1e-300..1e300, up to a million sides from the origin."""
+    width = 10.0 ** draw(st.floats(-300.0, 300.0))
+    x, y = width * draw(st.floats(-1e6, 1e6)), width * draw(st.floats(-1e6, 1e6))
+    height = width * draw(st.floats(0.01, 100.0))
+    lean = width * draw(st.floats(-2.0, 2.0))
+    try:
+        return Triangle(Point(x, y), Point(x + width, y), Point(x + lean, y + height), draw(_labels))
+    except GeometryError:
+        assume(False)
+
+
+class TestForwardMatchesStdlibEncoder:
+    @given(outer=_triangles(), morley=_triangles())
+    @example(
+        outer=Triangle(Point(0.0, 0.0), Point(4.0, 0.0), Point(0.0, 3.0), ("A'", "B", "A'")),
+        morley=Triangle(Point(1.0, 1.0), Point(2.0, 1.0), Point(1.0, 2.0), ("B", 'q"\\\u00e9', "\ud800")),
+    )
+    def test_bytes_equal_the_encoder(self, outer, morley):
+        assert forward_document(outer, morley) == _encoder_forward(outer, morley)
+
+
+def test_documents_run_no_encoder_per_call(monkeypatch):
+    cfg = next(configs())
+    t = right_triangle(1.0)
+    m = morley_triangle(t)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the encoder ran")
+
+    monkeypatch.setattr(json.JSONEncoder, "iterencode", refuse)
+    monkeypatch.setattr(json.JSONEncoder, "encode", refuse)
+    config_document(cfg)
+    forward_document(t, m)
 
 
 class TestForwardDocument:

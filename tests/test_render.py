@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+from collections import Counter
 
 import pytest
 
@@ -194,6 +195,66 @@ class TestGoldenBytes:
     )
     def test_right_triangle_scene(self, labels, digest):
         assert sha256(render_svg(right_triangle_scene(), labels=labels)) == digest
+
+    @pytest.mark.parametrize(
+        "side, arcs, labels, digest",
+        [
+            (1e-300, True, True, "e1a2f6f84165d74f7fc42250377f174498372f470aaf4c4a22449a7e2f301b7a"),
+            (1e-300, True, False, "a231a9c9908afea9fa825bc17992f047676fb33f1248912bcde54ba428d2ca45"),
+            (1e-300, False, True, "3fa844f9175776918136b129d007c4e3b052c970a28b3035914607d49c0de371"),
+            (1e-300, False, False, "85e52ab824ef1d6de83c4df6f0b4bd27c4827704cc0b6b6656593e011ea4d087"),
+            (1e300, True, True, "83edc6c5e33fb705c3560ee4c8325d8b5340283e54a07f3f21bfdd06557450b6"),
+            (1e300, True, False, "25785cc143a959d4f04b3fc4b36d897a1a0f6efe01a4a82fc7d816525003bd20"),
+            (1e300, False, True, "1e68e421c8854fd5aba0156202d47814854150414ef67ccfb2d33b20a463511b"),
+            (1e300, False, False, "b59538914b0c40a1eed59d2307ae058dcc53334dd00177d605ec7a58e35cfb1a"),
+        ],
+    )
+    def test_configuration_at_extreme_sides(self, side, arcs, labels, digest):
+        assert sha256(render_svg(reference_config(side), arcs=arcs, labels=labels)) == digest
+
+    @pytest.mark.parametrize(
+        "scale, labels, digest",
+        [
+            (1e-300, True, "012641288832b50cb2566039e274bf207248cd3f5f3a0165e0cad575fe2061f8"),
+            (1e-300, False, "3860c4fd9dfca1582303d8e08d9d495bf8ca2c0e65edd833794a4e607f0237d2"),
+            (1e300, True, "19c70076bf71c598e0bacc502b8e8a7f0b00d1882bf5f035d48f3295bb89335b"),
+            (1e300, False, "cfa299d7b85e0fe536adc69b30be2ea2795af086a0c8459d19c60e75812e97d6"),
+        ],
+    )
+    def test_scaled_right_triangle_scene(self, scale, labels, digest):
+        # The unit scene with every vertex scaled: morley_triangle itself
+        # fails on the 3-4-5 triangle at 1e300.
+        scene = right_triangle_scene()
+        scaled = [Triangle(*(p * scale for p in t.vertices), t.labels) for t in (scene.outer, scene.morley)]
+        assert sha256(render_svg(TrisectionScene(*scaled), labels=labels)) == digest
+
+
+class TestBuildsNoPoints:
+    """Intermediate vectors stay float pairs: a drawing builds no Point."""
+
+    @pytest.fixture
+    def point_calls(self, monkeypatch):
+        calls = Counter()
+        init = Point.__init__
+
+        def counting(self, x, y):
+            calls["Point"] += 1
+            init(self, x, y)
+
+        monkeypatch.setattr(Point, "__init__", counting)
+        return calls
+
+    def test_configuration(self, point_calls):
+        cfg = reference_config()
+        point_calls.clear()
+        render_svg(cfg)
+        assert point_calls["Point"] == 0
+
+    def test_trisection_scene(self, point_calls):
+        scene = right_triangle_scene()
+        point_calls.clear()
+        render_svg(scene)
+        assert point_calls["Point"] == 0
 
 
 def label_offsets(svg, points, scale):
