@@ -10,8 +10,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from collections.abc import Sequence
 from pathlib import Path
-from typing import Sequence
 
 from .document import config_document, forward_document, parse_config_document, summary_document
 from .forward import morley_triangle, side_spread

@@ -19,7 +19,6 @@ import io
 import json
 import math
 from json.encoder import encode_basestring_ascii
-from typing import Any
 
 from .forward import side_spread
 from .inverse import (
@@ -41,7 +40,7 @@ from .verify import VerificationSummary
 _SLOT = "\0"
 
 
-def _layout(skeleton: dict[str, Any]) -> str:
+def _layout(skeleton: dict[str, object]) -> str:
     """What json.JSONEncoder(indent=2) writes for skeleton, with a %s slot for each _SLOT."""
     text = json.JSONEncoder(indent=2).encode(skeleton)
     return text.replace("%", "%%").replace(encode_basestring_ascii(_SLOT), "%s") + "\n"
@@ -79,20 +78,44 @@ def parse_config_document(text: str) -> MorleyConfiguration:
     Arcs and side lines follow ARC_CHORD_NAMES and LINE_POINT_NAMES; the
     document's "chord", "lines", "inner" and "outer" entries only
     describe those tables to other readers.  A side line through two
-    coincident points raises DegenerateLine, as construct does.
+    coincident points raises DegenerateLine, as construct does, and an
+    integer too large for a float raises ValueError naming where it is.
     """
     data = json.loads(text)
-    points = {name: Point(*data["points"][name]) for name in POINT_NAMES}
-    arcs = data["arcs"]
-    cfg = MorleyConfiguration(
-        angles=AngleTriple(*(data["angles"][key] for key in "abc")),
-        inner=Triangle(*(points[name] for name in INNER_NAMES), INNER_NAMES),
-        outer=Triangle(*(points[name] for name in OUTER_NAMES), OUTER_NAMES),
-        circles=tuple(Circle(Point(*arcs[key]["center"]), arcs[key]["radius"]) for key in ARC_CHORD_NAMES),
-        arc_points=tuple(points[name] for name in ARC_POINT_NAMES),
-    )
+    try:
+        points = {name: Point(*data["points"][name]) for name in POINT_NAMES}
+        arcs = data["arcs"]
+        cfg = MorleyConfiguration(
+            angles=AngleTriple(*(data["angles"][key] for key in "abc")),
+            inner=Triangle(*(points[name] for name in INNER_NAMES), INNER_NAMES),
+            outer=Triangle(*(points[name] for name in OUTER_NAMES), OUTER_NAMES),
+            circles=tuple(Circle(Point(*arcs[key]["center"]), arcs[key]["radius"]) for key in ARC_CHORD_NAMES),
+            arc_points=tuple(points[name] for name in ARC_POINT_NAMES),
+        )
+    except OverflowError:
+        # json.loads keeps integers exact; float() of a huge one overflows in the geometry.
+        where = _oversized_int(data, "")
+        if where is None:
+            raise
+        raise ValueError(f"{where} is an integer too large for a float") from None
     _side_lines(points)
     return cfg
+
+
+def _oversized_int(value: object, path: str) -> str | None:
+    """The path, as ["key"][index]..., of the first int in decoded JSON
+    that no float can hold, or None."""
+    if isinstance(value, (dict, list)):
+        for key in value if isinstance(value, dict) else range(len(value)):
+            found = _oversized_int(value[key], f"{path}[{json.dumps(key)}]")
+            if found is not None:
+                return found
+    elif isinstance(value, int):
+        try:
+            float(value)
+        except OverflowError:
+            return path
+    return None
 
 
 # One check of the report, laid out as json.JSONEncoder(indent=2) lays
@@ -117,7 +140,7 @@ _FORWARD_TEMPLATE = _layout({"points": _SLOT, "morley": [_SLOT] * 3, "side_sprea
 _POINT_RECORD = "    %s: [\n      %s,\n      %s\n    ]"
 
 
-def _number(value: Any) -> str:
+def _number(value: object) -> str:
     # The encoder's rule: float.__repr__ (so a float subclass prints as a
     # float), JavaScript names for the non-finite values, true or false for
     # a bool, int.__repr__ for another int, and its error for other types.

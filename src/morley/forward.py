@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 
 from .kernel import (
+    EPS_PARALLEL,
     DegenerateTriangle,
     GeometryError,
     NearParallel,
@@ -84,8 +85,11 @@ def _meet(o1: Point, d1: tuple[float, float], o2: Point, d2: tuple[float, float]
     """Meet of the trisectors from o1 along d1 and from o2 along d2."""
     (d1x, d1y), (d2x, d2y) = d1, d2
     denom = d1x * d2y - d1y * d2x
-    if abs(denom) <= 1e-12:
-        raise NearParallel(f"trisectors from {o1} and {o2} are (nearly) parallel")
+    if abs(denom) <= EPS_PARALLEL:
+        raise NearParallel(
+            f"trisectors from {o1} and {o2} are (nearly) parallel: "
+            f"|sin| of their angle {abs(denom):.3e} <= EPS_PARALLEL {EPS_PARALLEL:g}"
+        )
     wx, wy = o2.x - o1.x, o2.y - o1.y
     t1 = (wx * d2y - wy * d2x) / denom
     t2 = (wx * d1y - wy * d1x) / denom

@@ -21,7 +21,6 @@ that it can be checked, serialized and drawn downstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .kernel import (
     EPS_LENGTH,
@@ -30,7 +29,9 @@ from .kernel import (
     GeometryError,
     Line,
     Point,
+    Record,
     Triangle,
+    _set_field,
     chord_arc_circle,
     intersect_lines,
     rotate_about,
@@ -71,23 +72,23 @@ class NotEquilateral(GeometryError):
     """The input triangle's sides differ by more than the tolerance."""
 
 
-@dataclass(frozen=True, slots=True)
-class AngleTriple:
+class AngleTriple(Record):
     """Angles (a, b, c), each at least MIN_ANGLE, summing to pi/3."""
 
-    a: float
-    b: float
-    c: float
+    __slots__ = ("a", "b", "c")
 
-    def __post_init__(self) -> None:
-        for name, value in (("a", self.a), ("b", self.b), ("c", self.c)):
+    def __init__(self, a: float, b: float, c: float) -> None:
+        _set_field(self, "a", a)
+        _set_field(self, "b", b)
+        _set_field(self, "c", c)
+        for name, value in (("a", a), ("b", b), ("c", c)):
             if not math.isfinite(value):
                 raise InvalidAngles(f"angle {name} is not finite: {value}")
             if value < MIN_ANGLE:
                 raise InvalidAngles(
                     f"angle {name} = {value} is below the minimum {MIN_ANGLE} rad"
                 )
-        total = self.a + self.b + self.c
+        total = a + b + c
         if abs(total - math.pi / 3.0) > SUM_TOL:
             raise InvalidAngles(
                 f"angles must sum to pi/3, got {total} (off by {total - math.pi / 3.0:.3e})"
@@ -113,8 +114,7 @@ def equilateral_triangle(side: float = 1.0) -> Triangle:
     return Triangle(apex, Point(0.0, 0.0), Point(side, 0.0), INNER_NAMES)
 
 
-@dataclass(frozen=True, slots=True)
-class MorleyConfiguration:
+class MorleyConfiguration(Record):
     """Every named object produced by the construction.
 
     ``inner`` is the given equilateral triangle A'B'C', ``outer`` the
@@ -127,11 +127,21 @@ class MorleyConfiguration:
     (I_b J_c), CA = (I_c J_a).
     """
 
-    angles: AngleTriple
-    inner: Triangle
-    outer: Triangle
-    circles: tuple[Circle, Circle, Circle]
-    arc_points: tuple[Point, Point, Point, Point, Point, Point]
+    __slots__ = ("angles", "inner", "outer", "circles", "arc_points")
+
+    def __init__(
+        self,
+        angles: AngleTriple,
+        inner: Triangle,
+        outer: Triangle,
+        circles: tuple[Circle, Circle, Circle],
+        arc_points: tuple[Point, Point, Point, Point, Point, Point],
+    ) -> None:
+        _set_field(self, "angles", angles)
+        _set_field(self, "inner", inner)
+        _set_field(self, "outer", outer)
+        _set_field(self, "circles", circles)
+        _set_field(self, "arc_points", arc_points)
 
     def named_points(self) -> dict[str, Point]:
         """All twelve labelled points of the figure, in POINT_NAMES order."""
@@ -204,9 +214,11 @@ def construct(inner: Triangle, angles: AngleTriple) -> MorleyConfiguration:
     points = dict(zip(ARC_POINT_NAMES, arc_points))
     side = inner.scale()
     for name, (p_name, q_name) in LINE_POINT_NAMES.items():
-        if points[p_name].distance_to(points[q_name]) <= EPS_LENGTH * side:
+        gap = points[p_name].distance_to(points[q_name])
+        if gap <= EPS_LENGTH * side:
             raise DegenerateLine(
-                f"points defining side line {name} coincide; the angle triple "
+                f"points defining side line {name} coincide (distance / side "
+                f"{gap / side:.3e} <= EPS_LENGTH {EPS_LENGTH:g}); the angle triple "
                 f"lies on the degenerate set with one angle equal to pi/6"
             )
     # Each vertex is the meet of the side line it starts and the one

@@ -4,12 +4,22 @@ Angles are radians everywhere.  Signed angles are counter-clockwise
 positive and normalized to (-pi, pi]; unsigned angles live in [0, pi].
 Every degeneracy test is relative to the extent of the operation's own
 inputs, so predicates behave identically under uniform scaling.
+
+Every value type of the package (``Point``, ``Line``, ``Circle`` and
+``Triangle`` here, and the configuration, report and scene types of the
+other modules) derives from ``Record``: an immutable, slotted value
+compared, hashed and printed by its fields, as a frozen dataclass would
+be.  Each type writes its own ``__init__``.  ``Record`` exists for the
+cold start of the ``morley`` command: ``dataclasses`` imports
+``inspect`` (with ``ast``, ``dis`` and ``tokenize``), then generates and
+executes each decorated class's methods at every import, a cost no
+bytecode cache saves.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from operator import attrgetter
 
 # Degeneracy thresholds.  Each is applied relative to the largest
 # pairwise distance among the inputs of the operation that uses it.
@@ -69,12 +79,50 @@ def require_finite(x: float, y: float) -> None:
         raise _non_finite(x, y)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Point:
+class Record:
+    """An immutable value whose fields are the subclass's ``__slots__``,
+    typed by its ``__init__``, which sets each with ``_set_field``.
+
+    Equality, hash and repr are a frozen dataclass's; pickling and
+    copying rebuild the value through ``__init__``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        # A getattr loop in its place made construct 7% slower (Line.__init__ compares points).
+        cls._values = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values(self)))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple[type, tuple]:
+        return self.__class__, self._values(self)
+
+
+class Point(Record):
     """A position in the plane; doubles as a displacement vector."""
 
-    x: float
-    y: float
+    __slots__ = ("x", "y")
 
     def __init__(self, x: float, y: float) -> None:
         if not (_isfinite(x) and _isfinite(y)):
@@ -127,16 +175,16 @@ def midpoint(p: Point, q: Point) -> Point:
     return Point((p.x + q.x) / 2.0, (p.y + q.y) / 2.0)
 
 
-@dataclass(frozen=True, slots=True)
-class Line:
+class Line(Record):
     """An infinite line through two distinct points."""
 
-    p: Point
-    q: Point
+    __slots__ = ("p", "q")
 
-    def __post_init__(self) -> None:
-        if self.p == self.q:
-            raise DegenerateLine(f"both defining points equal {self.p}")
+    def __init__(self, p: Point, q: Point) -> None:
+        _set_field(self, "p", p)
+        _set_field(self, "q", q)
+        if p == q:
+            raise DegenerateLine(f"both defining points equal {p}")
 
     def direction(self) -> Point:
         return self.q - self.p
@@ -146,32 +194,30 @@ class Line:
         return abs(d.cross(r - self.p)) / d.norm()
 
 
-@dataclass(frozen=True, slots=True)
-class Circle:
-    center: Point
-    radius: float
+class Circle(Record):
+    __slots__ = ("center", "radius")
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.radius) and self.radius > 0.0):
-            raise GeometryError(f"radius must be finite and positive, got {self.radius}")
+    def __init__(self, center: Point, radius: float) -> None:
+        _set_field(self, "center", center)
+        _set_field(self, "radius", radius)
+        if not (_isfinite(radius) and radius > 0.0):
+            raise GeometryError(f"radius must be finite and positive, got {radius}")
 
 
-@dataclass(frozen=True, slots=True)
-class Triangle:
+class Triangle(Record):
     """Three non-collinear vertices with display labels."""
 
-    v1: Point
-    v2: Point
-    v3: Point
-    labels: tuple[str, str, str] = ("A", "B", "C")
+    __slots__ = ("v1", "v2", "v3", "labels")
 
-    def __post_init__(self) -> None:
-        if len(self.labels) != 3:
-            raise GeometryError(f"expected three labels, got {self.labels!r}")
-        if orientation(self.v1, self.v2, self.v3) == 0:
-            raise DegenerateTriangle(
-                f"vertices {self.v1}, {self.v2}, {self.v3} are collinear"
-            )
+    def __init__(self, v1: Point, v2: Point, v3: Point, labels: tuple[str, str, str] = ("A", "B", "C")) -> None:
+        _set_field(self, "v1", v1)
+        _set_field(self, "v2", v2)
+        _set_field(self, "v3", v3)
+        _set_field(self, "labels", labels)
+        if len(labels) != 3:
+            raise GeometryError(f"expected three labels, got {labels!r}")
+        if orientation(v1, v2, v3) == 0:
+            raise DegenerateTriangle(f"vertices {v1}, {v2}, {v3} are collinear")
 
     @property
     def vertices(self) -> tuple[Point, Point, Point]:
@@ -257,7 +303,12 @@ def intersect_lines(l1: Line, l2: Line) -> Point:
     d1x, d1y, d2x, d2y = ux * k, uy * k, vx * k, vy * k
     denom = d1x * d2y - d1y * d2x
     if abs(denom) <= EPS_PARALLEL * (n1 * k) * (n2 * k):
-        raise NearParallel(f"lines {l1} and {l2} are (nearly) parallel")
+        # Only a zero cross product passes when the lengths underflow.
+        sine = abs(denom) / ((n1 * k) * (n2 * k)) if denom else 0.0
+        raise NearParallel(
+            f"lines {l1} and {l2} are (nearly) parallel: "
+            f"|sin| of their angle {sine:.3e} <= EPS_PARALLEL {EPS_PARALLEL:g}"
+        )
     wx, wy = (p2.x - p1.x) * k, (p2.y - p1.y) * k
     t = (wx * d2y - wy * d2x) / denom
     step_x, step_y = ux * t, uy * t

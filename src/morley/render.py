@@ -17,12 +17,11 @@ same.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable
 
 from .forward import morley_triangle
 from .inverse import ARC_CHORD_NAMES, LINE_POINT_NAMES, LINE_VERTEX_NAMES, MorleyConfiguration
-from .kernel import Circle, GeometryError, Point, Triangle, require_finite, signed_angle
+from .kernel import Circle, GeometryError, Point, Record, Triangle, _set_field, require_finite, signed_angle
 
 _COL_ARC = "#9aa0a6"
 _COL_CONSTRUCTION = "#4878cf"
@@ -39,12 +38,14 @@ FONT_SIZE = 0.07
 _XY = tuple[float, float]
 
 
-@dataclass(frozen=True, slots=True)
-class TrisectionScene:
+class TrisectionScene(Record):
     """A triangle together with its trisector (Morley) triangle."""
 
-    outer: Triangle
-    morley: Triangle
+    __slots__ = ("outer", "morley")
+
+    def __init__(self, outer: Triangle, morley: Triangle) -> None:
+        _set_field(self, "outer", outer)
+        _set_field(self, "morley", morley)
 
     @classmethod
     def from_triangle(cls, triangle: Triangle) -> TrisectionScene:

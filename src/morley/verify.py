@@ -26,8 +26,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .forward import apply_similarity, morley_triangle, side_spread
 from .inverse import (
@@ -39,7 +38,9 @@ from .inverse import (
 from .kernel import (
     DegenerateTriangle,
     Point,
+    Record,
     Triangle,
+    _set_field,
     angle_at,
     require_finite,
     signed_angle,
@@ -64,16 +65,20 @@ LIMIT_DEFAULT_VALUES = (1e-3, 1e-4, 1e-5)
 MIN_SAMPLE_ANGLE = math.radians(1.0)
 
 
-@dataclass(frozen=True, slots=True)
-class CheckReport:
+class CheckReport(Record):
     """One named measurement compared against its expected value."""
 
-    name: str
-    measured: float
-    expected: float
-    tol: float
-    passed: bool
-    mode: str = "unsigned"
+    __slots__ = ("name", "measured", "expected", "tol", "passed", "mode")
+
+    def __init__(
+        self, name: str, measured: float, expected: float, tol: float, passed: bool, mode: str = "unsigned"
+    ) -> None:
+        _set_field(self, "name", name)
+        _set_field(self, "measured", measured)
+        _set_field(self, "expected", expected)
+        _set_field(self, "tol", tol)
+        _set_field(self, "passed", passed)
+        _set_field(self, "mode", mode)
 
     @property
     def abs_error(self) -> float:
@@ -85,14 +90,16 @@ def check(name: str, measured: float, expected: float, tol: float, mode: str = "
     return CheckReport(name, measured, expected, tol, passed, mode)
 
 
-@dataclass(frozen=True, slots=True)
-class VerificationSummary:
+class VerificationSummary(Record):
     """A batch of check reports with the sweep parameters that made it."""
 
-    checks: tuple[CheckReport, ...]
-    seed: int
-    samples: int
-    all_pass: bool
+    __slots__ = ("checks", "seed", "samples", "all_pass")
+
+    def __init__(self, checks: tuple[CheckReport, ...], seed: int, samples: int, all_pass: bool) -> None:
+        _set_field(self, "checks", checks)
+        _set_field(self, "seed", seed)
+        _set_field(self, "samples", samples)
+        _set_field(self, "all_pass", all_pass)
 
     def failures(self) -> tuple[CheckReport, ...]:
         return tuple(c for c in self.checks if not c.passed)
@@ -163,8 +170,11 @@ def _angle_name(vertex: str, p: str, q: str) -> str:
     return f"angle[{p} {vertex} {q}]"
 
 
-def check_angle_identities(cfg: MorleyConfiguration, tol: float = ANGLE_TOL) -> VerificationSummary:
-    """The fifteen per-vertex angle identities of the configuration."""
+def check_angle_identities(
+    cfg: MorleyConfiguration, tol: float = ANGLE_TOL, *, prefix: str = ""
+) -> VerificationSummary:
+    """The fifteen per-vertex angle identities of the configuration, each
+    name led by ``prefix``."""
     pts = cfg.named_points()
     winding = float(cfg.inner.orientation_sign)
     checks: list[CheckReport] = []
@@ -174,22 +184,22 @@ def check_angle_identities(cfg: MorleyConfiguration, tol: float = ANGLE_TOL) -> 
         expected = math.pi / 3.0 - 2.0 * value
         measured = winding * signed_angle(pts[vertex], pts[p], pts[q])
         mode = "unsigned" if value < math.pi / 6.0 else "signed"
-        checks.append(check(_angle_name(vertex, p, q), measured, expected, tol, mode))
+        checks.append(check(prefix + _angle_name(vertex, p, q), measured, expected, tol, mode))
 
         for key in ("at_j", "at_i"):
             vertex, p, q, param = group[key]
             expected = 2.0 * math.pi / 3.0 - getattr(cfg.angles, param)
             measured = angle_at(pts[vertex], pts[p], pts[q])
-            checks.append(check(_angle_name(vertex, p, q), measured, expected, tol))
+            checks.append(check(prefix + _angle_name(vertex, p, q), measured, expected, tol))
 
         cycle = group["pentagon"]
         measured = math.fsum(polygon_interior_angles([pts[name] for name in cycle]))
-        checks.append(check(f"pentagon[{' '.join(cycle)}]", measured, 3.0 * math.pi, tol))
+        checks.append(check(f"{prefix}pentagon[{' '.join(cycle)}]", measured, 3.0 * math.pi, tol))
 
         vertex, p, q, param = group["full"]
         expected = 3.0 * getattr(cfg.angles, param)
         measured = angle_at(pts[vertex], pts[p], pts[q])
-        checks.append(check(_angle_name(vertex, p, q), measured, expected, tol))
+        checks.append(check(prefix + _angle_name(vertex, p, q), measured, expected, tol))
     return summarize(checks)
 
 
@@ -202,7 +212,7 @@ _ISOSCELES_TRIPLES = (
 )
 
 
-def check_isosceles_arcs(cfg: MorleyConfiguration) -> VerificationSummary:
+def check_isosceles_arcs(cfg: MorleyConfiguration, *, prefix: str = "") -> VerificationSummary:
     """|apex I| against |apex J| for the three chord pairs."""
     pts = cfg.named_points()
     checks = []
@@ -210,21 +220,23 @@ def check_isosceles_arcs(cfg: MorleyConfiguration) -> VerificationSummary:
         left = pts[apex].distance_to(pts[i_name])
         right = pts[apex].distance_to(pts[j_name])
         ratio = left / right
-        checks.append(check(f"isosceles[{apex}: {i_name} {j_name}]", ratio, 1.0, ISOSCELES_RTOL))
+        checks.append(check(f"{prefix}isosceles[{apex}: {i_name} {j_name}]", ratio, 1.0, ISOSCELES_RTOL))
     return summarize(checks)
 
 
-def check_outer_angles(cfg: MorleyConfiguration, tol: float = ANGLE_TOL) -> VerificationSummary:
+def check_outer_angles(cfg: MorleyConfiguration, tol: float = ANGLE_TOL, *, prefix: str = "") -> VerificationSummary:
     """Interior angles of the constructed triangle against (3a, 3b, 3c)."""
     triples = zip((1, 2, 3), ("A", "B", "C"), cfg.angles.as_tuple())
     checks = []
     for index, label, angle in triples:
         measured = cfg.outer.interior_angle(index)
-        checks.append(check(f"outer angle[{label}]", measured, 3.0 * angle, tol))
+        checks.append(check(f"{prefix}outer angle[{label}]", measured, 3.0 * angle, tol))
     return summarize(checks)
 
 
-def check_roundtrip(inner: Triangle, angles: AngleTriple, rtol: float = LENGTH_RTOL) -> CheckReport:
+def check_roundtrip(
+    inner: Triangle, angles: AngleTriple, rtol: float = LENGTH_RTOL, *, prefix: str = ""
+) -> CheckReport:
     """Construct, trisect independently, and compare with the input.
 
     The configuration is built here from ``inner`` and ``angles``, not
@@ -239,14 +251,14 @@ def check_roundtrip(inner: Triangle, angles: AngleTriple, rtol: float = LENGTH_R
         u.distance_to(v)
         for u, v in zip(cfg.inner.vertices, recovered.vertices)
     )
-    return check("roundtrip", worst / scale, 0.0, rtol)
+    return check(prefix + "roundtrip", worst / scale, 0.0, rtol)
 
 
-def check_equilateral_forward(trisected: Triangle, rtol: float = LENGTH_RTOL) -> CheckReport:
+def check_equilateral_forward(trisected: Triangle, rtol: float = LENGTH_RTOL, *, prefix: str = "") -> CheckReport:
     """Side spread of ``trisected``, the trisector triangle
     (``morley_triangle``) of an arbitrary triangle."""
     spread = side_spread(trisected)
-    return check("forward equilateral", spread, 0.0, rtol)
+    return check(prefix + "forward equilateral", spread, 0.0, rtol)
 
 
 def check_similarity_invariance(
@@ -256,6 +268,8 @@ def check_similarity_invariance(
     scale: float,
     translation: Point,
     rtol: float = LENGTH_RTOL,
+    *,
+    prefix: str = "",
 ) -> CheckReport:
     """Trisecting commutes with rotating, scaling and translating.
 
@@ -269,7 +283,7 @@ def check_similarity_invariance(
     pushed = apply_similarity(trisected, theta, scale, translation)
     ref = moved.scale()
     worst = max(u.distance_to(v) for u, v in zip(direct.vertices, pushed.vertices))
-    return check("similarity", worst / ref, 0.0, rtol)
+    return check(prefix + "similarity", worst / ref, 0.0, rtol)
 
 
 def _limit_checks(a_small: float, inner: Triangle) -> tuple[list[CheckReport], float]:
@@ -380,10 +394,6 @@ def random_similarity(rng: random.Random) -> tuple[float, float, Point]:
     return theta, scale, shift
 
 
-def _prefixed(report: CheckReport, prefix: str) -> CheckReport:
-    return CheckReport(prefix + report.name, report.measured, report.expected, report.tol, report.passed, report.mode)
-
-
 def run_battery(
     samples: int = 100,
     seed: int = DEFAULT_SEED,
@@ -395,8 +405,8 @@ def run_battery(
     Each sample constructs a configuration from a random angle triple
     on the unit equilateral triangle and runs every per-configuration
     check; it also trisects an unrelated random triangle once and checks
-    that result for equilaterality and similarity commutation.  Check
-    names are prefixed with the sample index.
+    that result for equilaterality and similarity commutation.  Each
+    check is named, as it is built, with the sample index as a prefix.
     """
     inner = equilateral_triangle()
     rng = _seeded(seed)
@@ -405,20 +415,17 @@ def run_battery(
     for index, angles in enumerate(triples):
         prefix = f"s{index:04d}/"
         cfg = construct(inner, angles)
-        for summary in (
-            check_angle_identities(cfg, angle_tol),
-            check_isosceles_arcs(cfg),
-            check_outer_angles(cfg, angle_tol),
-        ):
-            checks.extend(_prefixed(report, prefix) for report in summary.checks)
-        checks.append(_prefixed(check_roundtrip(inner, angles, length_rtol), prefix))
+        checks += check_angle_identities(cfg, angle_tol, prefix=prefix).checks
+        checks += check_isosceles_arcs(cfg, prefix=prefix).checks
+        checks += check_outer_angles(cfg, angle_tol, prefix=prefix).checks
+        checks.append(check_roundtrip(inner, angles, length_rtol, prefix=prefix))
 
         triangle = random_triangle(rng)
         trisected = morley_triangle(triangle)
-        checks.append(_prefixed(check_equilateral_forward(trisected, length_rtol), prefix))
+        checks.append(check_equilateral_forward(trisected, length_rtol, prefix=prefix))
         theta, scale, shift = random_similarity(rng)
         checks.append(
-            _prefixed(check_similarity_invariance(triangle, trisected, theta, scale, shift, length_rtol), prefix)
+            check_similarity_invariance(triangle, trisected, theta, scale, shift, length_rtol, prefix=prefix)
         )
     checks.extend(limit_sequence(inner).checks)
     return summarize(checks, seed, samples)

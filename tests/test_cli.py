@@ -214,6 +214,26 @@ class TestRenderCommand:
         assert rc == 2
         assert "cannot parse" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, where", [
+        (("arcs", "a", "radius"), '["arcs"]["a"]["radius"]'),
+        (("angles", "a"), '["angles"]["a"]'),
+        (("points", "A", 0), '["points"]["A"][0]'),
+    ])
+    def test_integer_too_large_for_a_float_exits_two(self, capsys, tmp_path, field, where):
+        cfg = construct(equilateral_triangle(), AngleTriple.from_degrees(20.0, 15.0, 25.0))
+        data = json.loads(config_document(cfg))
+        *path, last = field
+        target = data
+        for key in path:
+            target = target[key]
+        target[last] = 10**400
+        doc = tmp_path / "cfg.json"
+        doc.write_text(json.dumps(data))
+        rc = main(["render", "--json", str(doc), "--svg", str(tmp_path / "x.svg")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "cannot parse" in err and f"{where} is an integer too large for a float" in err
+
     def test_missing_file_exits_two(self, capsys, tmp_path):
         rc = main(["render", "--json", str(tmp_path / "nope.json"), "--svg", str(tmp_path / "x.svg")])
         assert rc == 2
@@ -237,3 +257,17 @@ class TestTopLevel:
         code = "import morley.cli, sys; sys.exit('numpy' in sys.modules)"
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
+
+    def test_cold_import_loads_no_dataclasses_or_typing(self):
+        # dataclasses brings inspect, ast, dis and tokenize, and generates
+        # code at every import.  Without site hooks (-S), which may import
+        # typing themselves, only morley could load these modules.
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = (
+            f"import sys; sys.path.insert(0, {str(src)!r}); import morley.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+        )
+        command = [sys.executable, "-I", "-S", "-B", "-c", code]
+        done = subprocess.run(command, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"

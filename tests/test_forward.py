@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from morley.forward import (
+    _meet,
     apply_similarity,
     morley_triangle,
     side_spread,
@@ -13,6 +14,7 @@ from morley.forward import (
 from morley.kernel import (
     DegenerateTriangle,
     GeometryError,
+    NearParallel,
     Point,
     Triangle,
     angle_at,
@@ -165,6 +167,12 @@ class TestMorleyTriangle:
         morley_triangle(t)
         # Trisector directions stay floats until the meets.
         assert calls["Point"] == 3
+
+    def test_parallel_trisectors_message_names_sine_and_threshold(self):
+        # Adjacent trisectors turn by B/3 and C/3 off their side, so only
+        # rounding at extreme scales makes them parallel; _meet is the site.
+        with pytest.raises(NearParallel, match=r"\|sin\| of their angle 0\.000e\+00 <= EPS_PARALLEL 1e-12"):
+            _meet(Point(0.0, 0.0), (1.0, 0.0), Point(0.0, 1.0), (-1.0, 0.0), 1.0)
 
 
 class TestApplySimilarity:

@@ -222,6 +222,11 @@ class TestConstructValidation:
         with pytest.raises(DegenerateLine):
             construct(equilateral_triangle(), bad)
 
+    def test_degenerate_message_names_ratio_and_threshold(self):
+        bad = AngleTriple(math.pi / 6.0, math.radians(20.0), THIRD - math.pi / 6.0 - math.radians(20.0))
+        with pytest.raises(DegenerateLine, match=r"\(distance / side \d\.\d{3}e[-+]\d+ <= EPS_LENGTH 1e-12\)"):
+            construct(equilateral_triangle(), bad)
+
 
 class TestConstructSweep:
     def test_roundtrip_and_angles_over_sweep(self):

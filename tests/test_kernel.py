@@ -106,6 +106,12 @@ class TestIntersectLines:
         with pytest.raises(NearParallel):
             intersect_lines(l1, l2)
 
+    def test_message_names_sine_and_threshold(self):
+        l1 = Line(Point(0.0, 0.0), Point(1.0, 0.0))
+        l2 = Line(Point(0.0, 1.0), Point(2.0, 1.0 + 1e-12))
+        with pytest.raises(NearParallel, match=r"\|sin\| of their angle 5\.000e-13 <= EPS_PARALLEL 1e-12"):
+            intersect_lines(l1, l2)
+
     def test_result_lies_on_both_lines(self):
         rng = random.Random(2)
         count = 0

@@ -2,7 +2,6 @@ import json
 import math
 import random
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -374,11 +373,26 @@ class TestBattery:
         # spread over only three samples here.
         assert calls["Point"] <= 3 * 120
 
+    def test_builds_each_report_once(self, monkeypatch):
+        # Each check is named with its sample prefix as it is built, not
+        # built and then copied under the prefixed name.
+        calls = Counter()
+        init = CheckReport.__init__
+
+        def counting(self, *args, **kwargs):
+            calls["CheckReport"] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(CheckReport, "__init__", counting)
+        summary = run_battery(samples=3, seed=7)
+        # 24 checks per sample, then the 10 of the limit sequence.
+        assert calls["CheckReport"] == len(summary.checks) == 3 * 24 + 10
+
 
 def _reference_battery(samples, seed):
     """run_battery with every check recomputing what it needs, as before
     the battery shared each sample's trisection: the forward checks each
-    trisect the random triangle, and reports are renamed with replace."""
+    trisect the random triangle, and reports are renamed into new ones."""
     inner = equilateral_triangle()
     rng = random.Random(seed)
     checks = []
@@ -403,7 +417,9 @@ def _reference_battery(samples, seed):
         pushed = apply_similarity(morley_triangle(triangle), theta, scale, shift)
         worst = max(u.distance_to(v) for u, v in zip(direct.vertices, pushed.vertices))
         batch.append(check("similarity", worst / moved.scale(), 0.0, LENGTH_RTOL))
-        checks.extend(replace(report, name=prefix + report.name) for report in batch)
+        checks.extend(
+            CheckReport(prefix + r.name, r.measured, r.expected, r.tol, r.passed, r.mode) for r in batch
+        )
     checks.extend(limit_sequence(inner).checks)
     return summarize(checks, seed, samples)
 
