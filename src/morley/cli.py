@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from pathlib import Path
 
 from .document import config_document, forward_document, parse_config_document, summary_document
@@ -24,35 +24,20 @@ from .inverse import (
 )
 from .kernel import DegenerateTriangle, GeometryError, Point, Triangle
 from .render import TrisectionScene, render_svg
-from .verify import (
-    ANGLE_TOL,
-    DEFAULT_SEED,
-    LENGTH_RTOL,
-    VerificationSummary,
-    check_limit_perpendicular,
-    limit_sequence,
-    run_battery,
-)
+from .verify import DEFAULT_SEED, check_limit_perpendicular, limit_sequence, run_battery
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int) -> Callable[[str], int]:
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
 
-
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
-    return value
+    return parse
 
 
 def _positive_float(text: str) -> float:
@@ -116,8 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_forward)
 
     p = sub.add_parser("verify", help="run the randomized verification battery")
-    p.add_argument("--samples", type=_positive_int, default=100, help="number of angle triples")
-    p.add_argument("--seed", type=_nonnegative_int, default=DEFAULT_SEED, help="sweep seed")
+    p.add_argument("--samples", type=_int_at_least(1), default=100, help="number of angle triples")
+    p.add_argument("--seed", type=_int_at_least(0), default=DEFAULT_SEED, help="sweep seed")
     p.add_argument(
         "--tol",
         type=_positive_float,
@@ -177,9 +162,12 @@ def cmd_forward(args: argparse.Namespace) -> int:
     return 0
 
 
-def _report_summary(summary: VerificationSummary, json_path: str | None) -> int:
-    if json_path:
-        Path(json_path).write_text(summary_document(summary))
+def cmd_verify(args: argparse.Namespace) -> int:
+    # Without --tol, run_battery's own defaults apply.
+    tols = {} if args.tol is None else {"angle_tol": args.tol, "length_rtol": args.tol}
+    summary = run_battery(samples=args.samples, seed=args.seed, **tols)
+    if args.json:
+        Path(args.json).write_text(summary_document(summary))
     failures = summary.failures()
     print(
         f"checks: {len(summary.checks)}, failed: {len(failures)}, "
@@ -194,18 +182,6 @@ def _report_summary(summary: VerificationSummary, json_path: str | None) -> int:
     if len(failures) > len(shown):
         print(f"  ... and {len(failures) - len(shown)} more")
     return 0 if summary.all_pass else 1
-
-
-def cmd_verify(args: argparse.Namespace) -> int:
-    angle_tol = args.tol if args.tol is not None else ANGLE_TOL
-    length_rtol = args.tol if args.tol is not None else LENGTH_RTOL
-    summary = run_battery(
-        samples=args.samples,
-        seed=args.seed,
-        angle_tol=angle_tol,
-        length_rtol=length_rtol,
-    )
-    return _report_summary(summary, args.json)
 
 
 def cmd_limit(args: argparse.Namespace) -> int:
@@ -237,9 +213,10 @@ def cmd_render(args: argparse.Namespace) -> int:
         print("error: give either --json or an angle triple, not both", file=sys.stderr)
         return 2
     if args.json:
+        # json.loads raises RecursionError for a deeply nested document.
         try:
             cfg = parse_config_document(Path(args.json).read_text())
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
             print(f"error: cannot parse {args.json}: {exc}", file=sys.stderr)
             return 2
     elif args.a is not None and args.b is not None and args.c is not None:

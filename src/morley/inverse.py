@@ -201,7 +201,7 @@ def construct(inner: Triangle, angles: AngleTriple) -> MorleyConfiguration:
             f"side lengths {lengths} spread more than {EQUILATERAL_RTOL:g} relative"
         )
     if inner.labels != INNER_NAMES:
-        inner = inner.with_labels(INNER_NAMES)
+        inner = Triangle(*inner.vertices, INNER_NAMES)
     vertices = dict(zip(INNER_NAMES, inner.vertices))
     circles: list[Circle] = []
     arc_points: list[Point] = []

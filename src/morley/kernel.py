@@ -143,17 +143,11 @@ class Point(Record):
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> Point:
-        return Point(-self.x, -self.y)
-
     def dot(self, other: Point) -> float:
         return self.x * other.x + self.y * other.y
 
     def cross(self, other: Point) -> float:
         return self.x * other.y - self.y * other.x
-
-    def norm(self) -> float:
-        return math.hypot(self.x, self.y)
 
     def distance_to(self, other: Point) -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
@@ -185,13 +179,6 @@ class Line(Record):
         _set_field(self, "q", q)
         if p == q:
             raise DegenerateLine(f"both defining points equal {p}")
-
-    def direction(self) -> Point:
-        return self.q - self.p
-
-    def distance_to_point(self, r: Point) -> float:
-        d = self.direction()
-        return abs(d.cross(r - self.p)) / d.norm()
 
 
 class Circle(Record):
@@ -256,18 +243,9 @@ class Triangle(Record):
         v1, v2, v3 = self.v1, self.v2, self.v3
         return min(angle_at(v1, v2, v3), angle_at(v2, v3, v1), angle_at(v3, v1, v2))
 
-    def is_equilateral(self, rtol: float = 1e-12) -> bool:
+    def is_equilateral(self, rtol: float) -> bool:
         lengths = self.side_lengths()
         return (max(lengths) - min(lengths)) <= rtol * max(lengths)
-
-    def with_labels(self, labels: tuple[str, str, str]) -> Triangle:
-        return Triangle(self.v1, self.v2, self.v3, labels)
-
-    def centroid(self) -> Point:
-        return Point(
-            (self.v1.x + self.v2.x + self.v3.x) / 3.0,
-            (self.v1.y + self.v2.y + self.v3.y) / 3.0,
-        )
 
 
 def orientation(p: Point, q: Point, r: Point) -> int:

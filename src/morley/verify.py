@@ -286,13 +286,13 @@ def check_similarity_invariance(
     return check(prefix + "similarity", worst / ref, 0.0, rtol)
 
 
-def _limit_checks(a_small: float, inner: Triangle) -> tuple[list[CheckReport], float]:
-    """Checks for one small-angle probe; returns them and the deviation."""
+def check_limit_perpendicular(a_small: float, inner: Triangle | None = None) -> VerificationSummary:
+    """Small-angle probe at a single value of a (with b = c)."""
     if not 1e-6 <= a_small <= 1e-2:
         raise ValueError(f"small angle must lie in [1e-6, 1e-2], got {a_small}")
     tol = LIMIT_TOL_FACTOR * a_small
     rest = (math.pi / 3.0 - a_small) / 2.0
-    cfg = construct(inner, AngleTriple(a_small, rest, rest))
+    cfg = construct(inner or equilateral_triangle(), AngleTriple(a_small, rest, rest))
     pts = cfg.named_points()
     side = cfg.inner.scale()
 
@@ -306,18 +306,11 @@ def _limit_checks(a_small: float, inner: Triangle) -> tuple[list[CheckReport], f
     between = math.atan2(abs(u.cross(v)), abs(u.dot(v)))
     s_point = pts["C'"] + (pts["C'"] - pts["B'"])
     tag = f"limit[a={a_small:g}]"
-    checks = [
+    return summarize((
         check(f"{tag} perpendicular", between, math.pi / 2.0, tol),
         check(f"{tag} dist[I_a, S]", pts["I_a"].distance_to(s_point) / side, 0.0, tol),
         check(f"{tag} dist[J_b, S]", pts["J_b"].distance_to(s_point) / side, 0.0, tol),
-    ]
-    return checks, abs(between - math.pi / 2.0)
-
-
-def check_limit_perpendicular(a_small: float, inner: Triangle | None = None) -> VerificationSummary:
-    """Small-angle probe at a single value of a (with b = c)."""
-    checks, _ = _limit_checks(a_small, inner or equilateral_triangle())
-    return summarize(checks)
+    ))
 
 
 def limit_sequence(inner: Triangle | None = None) -> VerificationSummary:
@@ -332,20 +325,15 @@ def limit_sequence(inner: Triangle | None = None) -> VerificationSummary:
     checks: list[CheckReport] = []
     deviations: list[float] = []
     for a_small in LIMIT_DEFAULT_VALUES:
-        batch, deviation = _limit_checks(a_small, inner)
+        batch = check_limit_perpendicular(a_small, inner).checks
         checks.extend(batch)
-        deviations.append(deviation)
+        # The perpendicular check's abs_error, |between - pi/2|.
+        deviations.append(batch[0].abs_error)
     worst_increase = max(
         later - earlier for earlier, later in zip(deviations, deviations[1:])
     )
     checks.append(check("limit monotone", max(0.0, worst_increase), 0.0, 0.0))
     return summarize(checks)
-
-
-def sample_angle_triples(n: int, seed: int = DEFAULT_SEED) -> tuple[AngleTriple, ...]:
-    """n angle triples drawn uniformly from the admissible simplex, each
-    angle at least MIN_SAMPLE_ANGLE."""
-    return _sample_triples(_seeded(seed), n)
 
 
 def _seeded(seed: int) -> random.Random:
@@ -357,6 +345,8 @@ def _seeded(seed: int) -> random.Random:
 
 
 def _sample_triples(rng: random.Random, n: int) -> tuple[AngleTriple, ...]:
+    """n angle triples drawn uniformly from the admissible simplex, each
+    angle at least MIN_SAMPLE_ANGLE."""
     if n < 1:
         raise ValueError(f"need at least one sample, got {n}")
     third = math.pi / 3.0

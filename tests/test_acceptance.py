@@ -23,6 +23,7 @@ from morley.kernel import (
 )
 from morley.render import render_svg
 from morley.verify import (
+    _sample_triples,
     check_angle_identities,
     check_limit_perpendicular,
     check_similarity_invariance,
@@ -30,7 +31,6 @@ from morley.verify import (
     random_similarity,
     random_triangle,
     run_battery,
-    sample_angle_triples,
 )
 
 SWEEP_SIZE = 1000
@@ -45,7 +45,7 @@ def report(number: int, ok: bool, description: str) -> None:
 @pytest.fixture(scope="module")
 def sweep():
     inner = equilateral_triangle()
-    triples = sample_angle_triples(SWEEP_SIZE, seed=SWEEP_SEED)
+    triples = _sample_triples(random.Random(SWEEP_SEED), SWEEP_SIZE)
     configs = [construct(inner, angles) for angles in triples]
     return inner, triples, configs
 

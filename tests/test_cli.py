@@ -11,6 +11,7 @@ from morley.cli import main
 from morley.document import config_document, parse_config_document
 from morley.inverse import AngleTriple, construct, equilateral_triangle
 from morley.render import render_svg
+from morley.verify import ANGLE_TOL, LENGTH_RTOL
 
 
 class TestConstructCommand:
@@ -116,6 +117,21 @@ class TestVerifyCommand:
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "flags, angle_tol, length_rtol",
+        [(["--tol", "1e-17"], 1e-17, 1e-17), ([], ANGLE_TOL, LENGTH_RTOL)],
+    )
+    def test_tol_reaches_angle_and_length_checks(self, capsys, tmp_path, flags, angle_tol, length_rtol):
+        json_path = tmp_path / "report.json"
+        main(["verify", "--samples", "2", *flags, "--json", str(json_path)])
+        tols = {c["name"]: c["tol"] for c in json.loads(json_path.read_text())["checks"]}
+        for index in range(2):
+            prefix = f"s{index:04d}/"
+            angles = [tol for name, tol in tols.items() if name.startswith(prefix + "angle[")]
+            assert len(angles) == 12 and set(angles) == {angle_tol}
+            for name in ("roundtrip", "forward equilateral", "similarity"):
+                assert tols[prefix + name] == length_rtol
+
     def test_zero_samples_exits_two(self, capsys):
         assert main(["verify", "--samples", "0"]) == 2
 
@@ -196,7 +212,8 @@ class TestRenderCommand:
         short_point = json.loads(config_document(cfg))
         short_point["points"]["A"] = [1.0]
         doc = tmp_path / "cfg.json"
-        for text in ("{}", json.dumps(short_point)):
+        # The last one nests deeper than json.loads can recurse.
+        for text in ("{}", json.dumps(short_point), "[" * 200000 + "]" * 200000):
             doc.write_text(text)
             rc = main(["render", "--json", str(doc), "--svg", str(tmp_path / "x.svg")])
             assert rc == 2

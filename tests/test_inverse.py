@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -16,12 +17,13 @@ from morley.kernel import (
     DegenerateLine,
     GeometryError,
     Point,
+    Line,
     Triangle,
     angle_at,
     chord_arc_circle,
     orientation,
 )
-from morley.verify import sample_angle_triples
+from morley.verify import _sample_triples
 
 THIRD = math.pi / 3.0
 
@@ -29,6 +31,15 @@ THIRD = math.pi / 3.0
 # the all-equal triple, frozen from an independent trisection run; it
 # also equals sqrt(3) / (8 sin^3(pi/9)).
 EQUILATERAL_RATIO = 5.4114741278097762
+
+
+def _centroid(t: Triangle) -> Point:
+    return Point((t.v1.x + t.v2.x + t.v3.x) / 3.0, (t.v1.y + t.v2.y + t.v3.y) / 3.0)
+
+
+def _distance_to_line(line: Line, r: Point) -> float:
+    d = line.q - line.p
+    return abs(d.cross(r - line.p)) / math.hypot(d.x, d.y)
 
 
 class TestAngleTriple:
@@ -137,7 +148,7 @@ class TestConstructSymmetric:
         assert ratio == pytest.approx(EQUILATERAL_RATIO, rel=1e-12)
 
     def test_concentric_with_input(self):
-        gap = self.cfg.outer.centroid().distance_to(self.inner.centroid())
+        gap = _centroid(self.cfg.outer).distance_to(_centroid(self.inner))
         assert gap <= 1e-12 * self.cfg.outer.scale()
 
     def test_mirror_symmetric_about_vertical_axis(self):
@@ -174,12 +185,12 @@ class TestConstructAsymmetric:
         scale = self.cfg.outer.scale()
         a, b, c = self.cfg.outer.vertices
         lines = self.cfg.lines
-        assert lines["AB"].distance_to_point(a) <= 1e-12 * scale
-        assert lines["AB"].distance_to_point(b) <= 1e-12 * scale
-        assert lines["BC"].distance_to_point(b) <= 1e-12 * scale
-        assert lines["BC"].distance_to_point(c) <= 1e-12 * scale
-        assert lines["CA"].distance_to_point(c) <= 1e-12 * scale
-        assert lines["CA"].distance_to_point(a) <= 1e-12 * scale
+        assert _distance_to_line(lines["AB"], a) <= 1e-12 * scale
+        assert _distance_to_line(lines["AB"], b) <= 1e-12 * scale
+        assert _distance_to_line(lines["BC"], b) <= 1e-12 * scale
+        assert _distance_to_line(lines["BC"], c) <= 1e-12 * scale
+        assert _distance_to_line(lines["CA"], c) <= 1e-12 * scale
+        assert _distance_to_line(lines["CA"], a) <= 1e-12 * scale
 
     def test_inner_vertices_trisect_outer_angles(self):
         pts = self.cfg.named_points()
@@ -233,7 +244,7 @@ class TestConstructSweep:
         inner = equilateral_triangle()
         worst_roundtrip = 0.0
         worst_angle = 0.0
-        for angles in sample_angle_triples(300, seed=11):
+        for angles in _sample_triples(random.Random(11), 300):
             cfg = construct(inner, angles)
             recovered = morley_triangle(cfg.outer)
             worst_roundtrip = max(
@@ -247,7 +258,7 @@ class TestConstructSweep:
 
     def test_outer_winding_matches_inner(self):
         inner = equilateral_triangle()
-        for angles in sample_angle_triples(50, seed=12):
+        for angles in _sample_triples(random.Random(12), 50):
             cfg = construct(inner, angles)
             assert cfg.outer.orientation_sign == inner.orientation_sign
 
@@ -257,7 +268,7 @@ class TestConstructSweep:
             Point(up.v1.x, -up.v1.y), up.v2, up.v3, ("A'", "B'", "C'")
         )
         assert down.orientation_sign == -1
-        for angles in sample_angle_triples(50, seed=13):
+        for angles in _sample_triples(random.Random(13), 50):
             cfg = construct(down, angles)
             assert cfg.outer.orientation_sign == -1
             recovered = morley_triangle(cfg.outer)

@@ -34,13 +34,17 @@ def _random_point(rng: random.Random, box: float) -> Point:
     return Point(rng.uniform(-box, box), rng.uniform(-box, box))
 
 
+def _distance_to_line(line: Line, r: Point) -> float:
+    d = line.q - line.p
+    return abs(d.cross(r - line.p)) / math.hypot(d.x, d.y)
+
+
 def test_point_arithmetic():
     p = Point(1.0, 2.0)
     q = Point(3.0, -1.0)
     assert p + q == Point(4.0, 1.0)
     assert q - p == Point(2.0, -3.0)
     assert 2.0 * p == Point(2.0, 4.0)
-    assert -p == Point(-1.0, -2.0)
     assert p.dot(q) == 1.0
     assert p.cross(q) == -7.0
     assert p.distance_to(q) == pytest.approx(math.sqrt(13.0), abs=0.0)
@@ -123,9 +127,9 @@ class TestIntersectLines:
                 hit = intersect_lines(l1, l2)
             except GeometryError:
                 continue
-            scale = max(abs(x) for x in xs) + hit.norm()
-            assert l1.distance_to_point(hit) <= 1e-9 * scale
-            assert l2.distance_to_point(hit) <= 1e-9 * scale
+            scale = max(abs(x) for x in xs) + math.hypot(hit.x, hit.y)
+            assert _distance_to_line(l1, hit) <= 1e-9 * scale
+            assert _distance_to_line(l2, hit) <= 1e-9 * scale
             count += 1
 
 
@@ -158,7 +162,7 @@ class TestRotateAbout:
         # Rounding the rotated coordinates moves the result by about an ulp
         # of the coordinates, so the arm must be long relative to them.
         d = p - center
-        if d.norm() < 1e-6 * max(1.0, p.norm(), center.norm()):
+        if math.hypot(d.x, d.y) < 1e-6 * max(1.0, math.hypot(p.x, p.y), math.hypot(center.x, center.y)):
             return
         out = rotate_about(p, center, theta)
         swept = signed_angle(center, p, out)

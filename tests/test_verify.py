@@ -29,7 +29,6 @@ from morley.verify import (
     random_similarity,
     random_triangle,
     run_battery,
-    sample_angle_triples,
     summarize,
 )
 
@@ -122,7 +121,7 @@ class TestAngleIdentities:
     def test_pentagon_sums_are_correctly_rounded(self):
         # math.fsum, not the built-in sum, whose float result changed in
         # Python 3.12: the battery report must not depend on the version.
-        for angles in sample_angle_triples(20, seed=5):
+        for angles in _sample_triples(random.Random(5), 20):
             cfg = construct(equilateral_triangle(), angles)
             pts = cfg.named_points()
             pentagons = [r for r in check_angle_identities(cfg).checks if r.name.startswith("pentagon[")]
@@ -275,19 +274,19 @@ class TestLimit:
 
 class TestSampling:
     def test_triples_are_valid_and_deterministic(self):
-        first = sample_angle_triples(50, seed=42)
-        second = sample_angle_triples(50, seed=42)
+        first = _sample_triples(random.Random(42), 50)
+        second = _sample_triples(random.Random(42), 50)
         assert first == second
         for triple in first:
             assert min(triple.as_tuple()) >= math.radians(1.0)
             assert sum(triple.as_tuple()) == pytest.approx(THIRD, abs=1e-12)
 
     def test_different_seeds_differ(self):
-        assert sample_angle_triples(10, seed=1) != sample_angle_triples(10, seed=2)
+        assert _sample_triples(random.Random(1), 10) != _sample_triples(random.Random(2), 10)
 
     def test_rejects_empty_request(self):
         with pytest.raises(ValueError):
-            sample_angle_triples(0)
+            _sample_triples(random.Random(42), 0)
 
     def test_random_triangle_respects_minimum_angle(self):
         rng = random.Random(33)
