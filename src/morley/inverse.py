@@ -57,11 +57,30 @@ EQUILATERAL_RTOL = 1e-9
 POINT_NAMES = ("A", "B", "C", "A'", "B'", "C'", "I_a", "J_a", "I_b", "J_b", "I_c", "J_c")
 OUTER_NAMES, INNER_NAMES, ARC_POINT_NAMES = POINT_NAMES[:3], POINT_NAMES[3:6], POINT_NAMES[6:]
 
+# The figure's threefold symmetry, as orbits of labels: one step along
+# each orbit carries vertex A's part of the figure onto B's, and B's onto
+# C's.  The angle parameters and the outer side lines turn with it.
+_ORBITS = (OUTER_NAMES, INNER_NAMES, ARC_POINT_NAMES[::2], ARC_POINT_NAMES[1::2], ("a", "b", "c"), ("AB", "BC", "CA"))
+_NEXT = {name: orbit[(i + 1) % 3] for orbit in _ORBITS for i, name in enumerate(orbit)}
+
+
+def cyclic(names: str | tuple) -> tuple:
+    """``names``, a label or nested tuples of labels written for vertex A,
+    followed by its images at B and at C."""
+
+    def step(item):
+        return _NEXT[item] if isinstance(item, str) else tuple(step(sub) for sub in item)
+
+    at_b = step(names)
+    return names, at_b, step(at_b)
+
+
 # Which named points span each arc's chord, which points define each
-# outer side line, and which outer vertices that line carries.
-ARC_CHORD_NAMES = {"a": ("C'", "B'"), "b": ("A'", "C'"), "c": ("B'", "A'")}
-LINE_POINT_NAMES = {"AB": ("I_a", "J_b"), "BC": ("I_b", "J_c"), "CA": ("I_c", "J_a")}
-LINE_VERTEX_NAMES = {"AB": ("A", "B"), "BC": ("B", "C"), "CA": ("C", "A")}
+# outer side line, and which outer vertices that line carries; each is
+# written for vertex A's arc or side, and cyclic gives the other two.
+ARC_CHORD_NAMES = dict(cyclic(("a", ("C'", "B'"))))
+LINE_POINT_NAMES = dict(cyclic(("AB", ("I_a", "J_b"))))
+LINE_VERTEX_NAMES = dict(cyclic(("AB", ("A", "B"))))
 
 
 class InvalidAngles(GeometryError):
@@ -195,8 +214,9 @@ def construct(inner: Triangle, angles: AngleTriple) -> MorleyConfiguration:
     two of the placed points coincide (one parameter equal to pi/6),
     which leaves a side line undefined.
     """
-    if not inner.is_equilateral(EQUILATERAL_RTOL):
-        lengths = inner.side_lengths()
+    lengths = inner.side_lengths()
+    side = max(lengths)
+    if not (side - min(lengths)) <= EQUILATERAL_RTOL * side:
         raise NotEquilateral(
             f"side lengths {lengths} spread more than {EQUILATERAL_RTOL:g} relative"
         )
@@ -212,7 +232,6 @@ def construct(inner: Triangle, angles: AngleTriple) -> MorleyConfiguration:
         arc_points.extend(place_arc_points(p, q, circle, angle))
 
     points = dict(zip(ARC_POINT_NAMES, arc_points))
-    side = inner.scale()
     for name, (p_name, q_name) in LINE_POINT_NAMES.items():
         gap = points[p_name].distance_to(points[q_name])
         if gap <= EPS_LENGTH * side:

@@ -3,7 +3,10 @@
 Angles are radians everywhere.  Signed angles are counter-clockwise
 positive and normalized to (-pi, pi]; unsigned angles live in [0, pi].
 Every degeneracy test is relative to the extent of the operation's own
-inputs, so predicates behave identically under uniform scaling.
+inputs, so predicates behave identically under uniform scaling.  The
+cross and dot products those tests and the angle measures rest on, and
+those of the verification battery, all come from one function,
+``cross_dot``, which takes them after an exact power-of-two prescale.
 
 Every value type of the package (``Point``, ``Line``, ``Circle`` and
 ``Triangle`` here, and the configuration, report and scene types of the
@@ -138,31 +141,26 @@ class Point(Record):
     def __sub__(self, other: Point) -> Point:
         return Point(self.x - other.x, self.y - other.y)
 
-    def __mul__(self, k: float) -> Point:
-        return Point(self.x * k, self.y * k)
-
-    __rmul__ = __mul__
-
-    def dot(self, other: Point) -> float:
-        return self.x * other.x + self.y * other.y
-
-    def cross(self, other: Point) -> float:
-        return self.x * other.y - self.y * other.x
-
     def distance_to(self, other: Point) -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
 
 
-def unit_scale(extent: float) -> float:
-    """The power of two that brings a positive finite extent into [0.5, 1).
+def cross_dot(ux: float, uy: float, vx: float, vy: float, extent: float) -> tuple[float, float, float]:
+    """Cross product u x v, dot product u . v, and the factor k they are
+    taken at: both vectors are first multiplied by k, the power of two
+    that brings a positive finite ``extent`` into [0.5, 1) (1 for a zero
+    extent).
 
-    Multiplying coordinates by it is exact, so cross and dot products of
-    the scaled displacements are the unscaled ones times an exact power
-    of two, and they stay finite at any input scale.  Returns 1 for a
-    zero extent.
+    Multiplying by k is exact, so the products are the unscaled ones times
+    k*k.  With ``extent`` of the order of the longer vector's length they
+    stay finite at any input scale.
     """
-    # Capped so that the factor itself stays finite for a subnormal extent.
-    return math.ldexp(1.0, min(-math.frexp(extent)[1], 1023))
+    # Capped so that the factor itself stays finite for a subnormal extent;
+    # min() in place of the conditional costs a third of this function.
+    shift = -math.frexp(extent)[1]
+    k = math.ldexp(1.0, shift if shift < 1023 else 1023)
+    ux, uy, vx, vy = ux * k, uy * k, vx * k, vy * k
+    return ux * vy - uy * vx, ux * vx + uy * vy, k
 
 
 def midpoint(p: Point, q: Point) -> Point:
@@ -243,21 +241,16 @@ class Triangle(Record):
         v1, v2, v3 = self.v1, self.v2, self.v3
         return min(angle_at(v1, v2, v3), angle_at(v2, v3, v1), angle_at(v3, v1, v2))
 
-    def is_equilateral(self, rtol: float) -> bool:
-        lengths = self.side_lengths()
-        return (max(lengths) - min(lengths)) <= rtol * max(lengths)
-
 
 def orientation(p: Point, q: Point, r: Point) -> int:
     """Sign of the turn p -> q -> r: +1 left, -1 right, 0 collinear.
 
     Collinearity is relative: the cross product is compared against
     EPS_ORIENT times the squared extent of the three points, both taken
-    after multiplying by the extent's unit_scale.
+    at the scale cross_dot gives that extent.
     """
     extent = max(p.distance_to(q), q.distance_to(r), r.distance_to(p))
-    k = unit_scale(extent)
-    cross = ((q.x - p.x) * k) * ((r.y - p.y) * k) - ((q.y - p.y) * k) * ((r.x - p.x) * k)
+    cross, _, k = cross_dot(q.x - p.x, q.y - p.y, r.x - p.x, r.y - p.y, extent)
     if abs(cross) <= EPS_ORIENT * (extent * k) * (extent * k):
         return 0
     return 1 if cross > 0.0 else -1
@@ -267,9 +260,9 @@ def intersect_lines(l1: Line, l2: Line) -> Point:
     """Intersection point of two lines.
 
     Raises NearParallel when the normalized direction cross product
-    falls below EPS_PARALLEL.  The products are taken after multiplying
-    by the unit_scale of the longer direction, which leaves the
-    intersection parameter unchanged.
+    falls below EPS_PARALLEL.  cross_dot takes both cross products at the
+    scale of the longer direction, which leaves the intersection
+    parameter unchanged.
     """
     p1, p2 = l1.p, l2.p
     ux, uy = l1.q.x - p1.x, l1.q.y - p1.y
@@ -277,9 +270,8 @@ def intersect_lines(l1: Line, l2: Line) -> Point:
     vx, vy = l2.q.x - p2.x, l2.q.y - p2.y
     require_finite(vx, vy)
     n1, n2 = math.hypot(ux, uy), math.hypot(vx, vy)
-    k = unit_scale(max(n1, n2))
-    d1x, d1y, d2x, d2y = ux * k, uy * k, vx * k, vy * k
-    denom = d1x * d2y - d1y * d2x
+    extent = max(n1, n2)
+    denom, _, k = cross_dot(ux, uy, vx, vy, extent)
     if abs(denom) <= EPS_PARALLEL * (n1 * k) * (n2 * k):
         # Only a zero cross product passes when the lengths underflow.
         sine = abs(denom) / ((n1 * k) * (n2 * k)) if denom else 0.0
@@ -287,8 +279,7 @@ def intersect_lines(l1: Line, l2: Line) -> Point:
             f"lines {l1} and {l2} are (nearly) parallel: "
             f"|sin| of their angle {sine:.3e} <= EPS_PARALLEL {EPS_PARALLEL:g}"
         )
-    wx, wy = (p2.x - p1.x) * k, (p2.y - p1.y) * k
-    t = (wx * d2y - wy * d2x) / denom
+    t = cross_dot(p2.x - p1.x, p2.y - p1.y, vx, vy, extent)[0] / denom
     step_x, step_y = ux * t, uy * t
     require_finite(step_x, step_y)
     return Point(p1.x + step_x, p1.y + step_y)
@@ -304,10 +295,10 @@ def rotate_about(p: Point, center: Point, theta: float) -> Point:
     return Point(cx + c * dx - s * dy, cy + s * dx + c * dy)
 
 
-def _scaled_rays(vertex: Point, p: Point, q: Point) -> tuple[float, float, float, float]:
-    """Rays vertex->p and vertex->q as (ux, uy, vx, vy), multiplied by the
-    unit_scale of the extent of the three points, so the angle between
-    them is unchanged and their cross and dot products stay finite.
+def _ray_products(vertex: Point, p: Point, q: Point) -> tuple[float, float]:
+    """Cross and dot product of the rays vertex->p and vertex->q, taken by
+    cross_dot at the extent of the three points, so the angle between the
+    rays is unchanged and the products stay finite.
     """
     to_p = vertex.distance_to(p)
     to_q = vertex.distance_to(q)
@@ -317,20 +308,19 @@ def _scaled_rays(vertex: Point, p: Point, q: Point) -> tuple[float, float, float
     for target, length in ((p, to_p), (q, to_q)):
         if length <= EPS_LENGTH * scale:
             raise DegenerateRay(f"point {target} coincides with vertex {vertex}")
-    k = unit_scale(scale)
-    return ((p.x - vertex.x) * k, (p.y - vertex.y) * k, (q.x - vertex.x) * k, (q.y - vertex.y) * k)
+    cross, dot, _ = cross_dot(p.x - vertex.x, p.y - vertex.y, q.x - vertex.x, q.y - vertex.y, scale)
+    return cross, dot
 
 
 def angle_at(vertex: Point, p: Point, q: Point) -> float:
     """Unsigned angle p-vertex-q in [0, pi]."""
-    ux, uy, vx, vy = _scaled_rays(vertex, p, q)
-    return math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy)
+    cross, dot = _ray_products(vertex, p, q)
+    return math.atan2(abs(cross), dot)
 
 
 def signed_angle(vertex: Point, p: Point, q: Point) -> float:
     """Rotation from ray vertex->p to ray vertex->q, ccw positive, in (-pi, pi]."""
-    ux, uy, vx, vy = _scaled_rays(vertex, p, q)
-    theta = math.atan2(ux * vy - uy * vx, ux * vx + uy * vy)
+    theta = math.atan2(*_ray_products(vertex, p, q))
     if theta <= -math.pi:
         theta = math.pi
     return theta

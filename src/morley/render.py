@@ -52,17 +52,12 @@ class TrisectionScene(Record):
         return cls(triangle, morley_triangle(triangle))
 
     def trisector_segments(self) -> tuple[tuple[Point, Point], ...]:
-        """Vertex-to-Morley-vertex segments, two per outer vertex."""
+        """Vertex-to-Morley-vertex segments, two per outer vertex: from
+        outer vertex i to the Morley vertices i + 2 and i + 1 (mod 3), the
+        two that lie next to the sides at vertex i."""
         outer = self.outer.vertices
         inner = self.morley.vertices
-        return (
-            (outer[0], inner[2]),
-            (outer[0], inner[1]),
-            (outer[1], inner[0]),
-            (outer[1], inner[2]),
-            (outer[2], inner[1]),
-            (outer[2], inner[0]),
-        )
+        return tuple((outer[i], inner[(i + k) % 3]) for i in range(3) for k in (2, 1))
 
 
 def _f(x: float) -> str:

@@ -30,9 +30,11 @@ from collections.abc import Iterable, Sequence
 
 from .forward import apply_similarity, morley_triangle, side_spread
 from .inverse import (
+    OUTER_NAMES,
     AngleTriple,
     MorleyConfiguration,
     construct,
+    cyclic,
     equilateral_triangle,
 )
 from .kernel import (
@@ -42,9 +44,9 @@ from .kernel import (
     Triangle,
     _set_field,
     angle_at,
+    cross_dot,
     require_finite,
     signed_angle,
-    unit_scale,
 )
 
 DEFAULT_SEED = 42
@@ -116,7 +118,7 @@ def polygon_interior_angles(points: Sequence[Point]) -> list[float]:
     The exterior turn at each vertex is signed; the polygon's overall
     winding decides which side counts as interior, so the result is
     independent of whether the vertices run clockwise or not.  Each turn
-    is taken from its two edges after their unit_scale, at any scale.
+    is taken from its two edges by cross_dot, at any scale.
     """
     n = len(points)
     if n < 3:
@@ -128,42 +130,26 @@ def polygon_interior_angles(points: Sequence[Point]) -> list[float]:
         require_finite(ux, uy)
         vx, vy = succ.x - here.x, succ.y - here.y
         require_finite(vx, vy)
-        k = unit_scale(max(abs(ux), abs(uy), abs(vx), abs(vy)))
-        ux, uy, vx, vy = ux * k, uy * k, vx * k, vy * k
-        turns.append(math.atan2(ux * vy - uy * vx, ux * vx + uy * vy))
+        cross, dot, _ = cross_dot(ux, uy, vx, vy, max(abs(ux), abs(uy), abs(vx), abs(vy)))
+        turns.append(math.atan2(cross, dot))
     winding = 1.0 if sum(turns) > 0.0 else -1.0
     return [math.pi - winding * t for t in turns]
 
 
-# Identity table.  Each group is tied to one outer vertex; entries name
-# points from MorleyConfiguration.named_points() and angles by field.
-# Within a group: "opposite" is the signed-capable identity at the far
-# inner vertex, "at_j"/"at_i" sit at the arc points, "pentagon" lists
-# the cycle whose interior angles sum to 3*pi, and "full" is the angle
-# at the outer vertex spanning both of its arc points.
-_IDENTITY_GROUPS = (
-    {
-        "opposite": ("B'", "I_c", "J_a", "b"),
-        "at_j": ("J_a", "A", "B'", "b"),
-        "at_i": ("I_a", "A", "C'", "c"),
-        "pentagon": ("A", "I_a", "C'", "B'", "J_a"),
-        "full": ("A", "I_a", "J_a", "a"),
-    },
-    {
-        "opposite": ("C'", "I_a", "J_b", "c"),
-        "at_j": ("J_b", "B", "C'", "c"),
-        "at_i": ("I_b", "B", "A'", "a"),
-        "pentagon": ("B", "I_b", "A'", "C'", "J_b"),
-        "full": ("B", "I_b", "J_b", "b"),
-    },
-    {
-        "opposite": ("A'", "I_b", "J_c", "a"),
-        "at_j": ("J_c", "C", "A'", "a"),
-        "at_i": ("I_c", "C", "B'", "b"),
-        "pentagon": ("C", "I_c", "B'", "A'", "J_c"),
-        "full": ("C", "I_c", "J_c", "c"),
-    },
-)
+# Identity table, written for vertex A; cyclic gives the groups of B and
+# C.  Entries name points from MorleyConfiguration.named_points() and
+# angles by field.  A group is (opposite, at_j, at_i, pentagon, full):
+# "opposite" is the signed-capable identity at the far inner vertex,
+# "at_j"/"at_i" sit at the arc points, "pentagon" lists the cycle whose
+# interior angles sum to 3*pi, and "full" is the angle at the outer
+# vertex spanning both of its arc points.
+_IDENTITY_GROUPS = cyclic((
+    ("B'", "I_c", "J_a", "b"),
+    ("J_a", "A", "B'", "b"),
+    ("I_a", "A", "C'", "c"),
+    ("A", "I_a", "C'", "B'", "J_a"),
+    ("A", "I_a", "J_a", "a"),
+))
 
 
 def _angle_name(vertex: str, p: str, q: str) -> str:
@@ -178,45 +164,39 @@ def check_angle_identities(
     pts = cfg.named_points()
     winding = float(cfg.inner.orientation_sign)
     checks: list[CheckReport] = []
-    for group in _IDENTITY_GROUPS:
-        vertex, p, q, param = group["opposite"]
+    for opposite, at_j, at_i, pentagon, full in _IDENTITY_GROUPS:
+        vertex, p, q, param = opposite
         value = getattr(cfg.angles, param)
         expected = math.pi / 3.0 - 2.0 * value
         measured = winding * signed_angle(pts[vertex], pts[p], pts[q])
         mode = "unsigned" if value < math.pi / 6.0 else "signed"
         checks.append(check(prefix + _angle_name(vertex, p, q), measured, expected, tol, mode))
 
-        for key in ("at_j", "at_i"):
-            vertex, p, q, param = group[key]
+        for vertex, p, q, param in (at_j, at_i):
             expected = 2.0 * math.pi / 3.0 - getattr(cfg.angles, param)
             measured = angle_at(pts[vertex], pts[p], pts[q])
             checks.append(check(prefix + _angle_name(vertex, p, q), measured, expected, tol))
 
-        cycle = group["pentagon"]
-        measured = math.fsum(polygon_interior_angles([pts[name] for name in cycle]))
-        checks.append(check(f"{prefix}pentagon[{' '.join(cycle)}]", measured, 3.0 * math.pi, tol))
+        measured = math.fsum(polygon_interior_angles([pts[name] for name in pentagon]))
+        checks.append(check(f"{prefix}pentagon[{' '.join(pentagon)}]", measured, 3.0 * math.pi, tol))
 
-        vertex, p, q, param = group["full"]
+        vertex, p, q, param = full
         expected = 3.0 * getattr(cfg.angles, param)
         measured = angle_at(pts[vertex], pts[p], pts[q])
         checks.append(check(prefix + _angle_name(vertex, p, q), measured, expected, tol))
     return summarize(checks)
 
 
-# The two chords from each arc's points to their shared inner vertex
-# are equal: the arc points sit symmetrically beyond the chord ends.
-_ISOSCELES_TRIPLES = (
-    ("B'", "I_c", "J_a"),
-    ("C'", "I_a", "J_b"),
-    ("A'", "I_b", "J_c"),
-)
-
-
 def check_isosceles_arcs(cfg: MorleyConfiguration, *, prefix: str = "") -> VerificationSummary:
-    """|apex I| against |apex J| for the three chord pairs."""
+    """|apex I| against |apex J| for the three chord pairs.
+
+    The pairs are the points of each group's "opposite" identity: the two
+    chords from those arc points to their shared inner vertex are equal,
+    as the arc points sit symmetrically beyond the chord ends.
+    """
     pts = cfg.named_points()
     checks = []
-    for apex, i_name, j_name in _ISOSCELES_TRIPLES:
+    for (apex, i_name, j_name, _), *_ in _IDENTITY_GROUPS:
         left = pts[apex].distance_to(pts[i_name])
         right = pts[apex].distance_to(pts[j_name])
         ratio = left / right
@@ -226,7 +206,7 @@ def check_isosceles_arcs(cfg: MorleyConfiguration, *, prefix: str = "") -> Verif
 
 def check_outer_angles(cfg: MorleyConfiguration, tol: float = ANGLE_TOL, *, prefix: str = "") -> VerificationSummary:
     """Interior angles of the constructed triangle against (3a, 3b, 3c)."""
-    triples = zip((1, 2, 3), ("A", "B", "C"), cfg.angles.as_tuple())
+    triples = zip((1, 2, 3), OUTER_NAMES, cfg.angles.as_tuple())
     checks = []
     for index, label, angle in triples:
         measured = cfg.outer.interior_angle(index)
@@ -298,12 +278,12 @@ def check_limit_perpendicular(a_small: float, inner: Triangle | None = None) -> 
 
     # As a -> 0 the line (I_a J_b) turns perpendicular to (C' B'), and
     # both points collapse onto S, the reflection of B' through C'.
-    # Both directions are brought to unit scale so that their products
-    # neither overflow nor underflow at any side length.
-    k = unit_scale(side)
-    u = (pts["J_b"] - pts["I_a"]) * k
-    v = (pts["B'"] - pts["C'"]) * k
-    between = math.atan2(abs(u.cross(v)), abs(u.dot(v)))
+    # cross_dot takes both directions at the side's scale, so their
+    # products neither overflow nor underflow at any side length.
+    u = pts["J_b"] - pts["I_a"]
+    v = pts["B'"] - pts["C'"]
+    cross, dot, _ = cross_dot(u.x, u.y, v.x, v.y, side)
+    between = math.atan2(abs(cross), abs(dot))
     s_point = pts["C'"] + (pts["C'"] - pts["B'"])
     tag = f"limit[a={a_small:g}]"
     return summarize((

@@ -123,8 +123,8 @@ class TestMorleyTriangle:
         m = morley_triangle(t)
 
         def dist_to_side(p: Point, a: Point, b: Point) -> float:
-            d = b - a
-            return abs(d.cross(p - a)) / math.hypot(d.x, d.y)
+            d, w = b - a, p - a
+            return abs(d.x * w.y - d.y * w.x) / math.hypot(d.x, d.y)
 
         # m.v1 sits closest to side v2-v3, m.v3 to side v1-v2.
         assert dist_to_side(m.v1, t.v2, t.v3) < dist_to_side(m.v2, t.v2, t.v3)

@@ -5,11 +5,13 @@ import pytest
 
 from morley.forward import morley_triangle
 from morley.inverse import (
+    POINT_NAMES,
     AngleTriple,
     InvalidAngles,
     MIN_ANGLE,
     NotEquilateral,
     construct,
+    cyclic,
     equilateral_triangle,
     place_arc_points,
 )
@@ -38,8 +40,29 @@ def _centroid(t: Triangle) -> Point:
 
 
 def _distance_to_line(line: Line, r: Point) -> float:
-    d = line.q - line.p
-    return abs(d.cross(r - line.p)) / math.hypot(d.x, d.y)
+    d, w = line.q - line.p, r - line.p
+    return abs(d.x * w.y - d.y * w.x) / math.hypot(d.x, d.y)
+
+
+def _is_equilateral(t: Triangle, rtol: float) -> bool:
+    lengths = t.side_lengths()
+    return (max(lengths) - min(lengths)) <= rtol * max(lengths)
+
+
+class TestCyclic:
+    LABELS = (*POINT_NAMES, "a", "b", "c", "AB", "BC", "CA")
+
+    def test_three_steps_give_back_every_label(self):
+        for label in self.LABELS:
+            at_a, at_b, at_c = cyclic(label)
+            assert at_a == label
+            assert len({at_a, at_b, at_c}) == 3
+            assert cyclic(at_c)[1] == label
+
+    def test_maps_point_names_onto_themselves(self):
+        at_a, at_b, at_c = cyclic(POINT_NAMES)
+        assert at_a == POINT_NAMES
+        assert sorted(at_b) == sorted(at_c) == sorted(POINT_NAMES)
 
 
 class TestAngleTriple:
@@ -137,7 +160,7 @@ class TestConstructSymmetric:
         self.cfg = construct(self.inner, AngleTriple(THIRD / 3.0, THIRD / 3.0, THIRD / 3.0))
 
     def test_outer_is_equilateral(self):
-        assert self.cfg.outer.is_equilateral(rtol=1e-12)
+        assert _is_equilateral(self.cfg.outer, rtol=1e-12)
 
     def test_outer_angles_are_sixty_degrees(self):
         for i in (1, 2, 3):

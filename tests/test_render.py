@@ -225,7 +225,10 @@ class TestGoldenBytes:
         # The unit scene with every vertex scaled: morley_triangle itself
         # fails on the 3-4-5 triangle at 1e300.
         scene = right_triangle_scene()
-        scaled = [Triangle(*(p * scale for p in t.vertices), t.labels) for t in (scene.outer, scene.morley)]
+        scaled = [
+            Triangle(*(Point(p.x * scale, p.y * scale) for p in t.vertices), t.labels)
+            for t in (scene.outer, scene.morley)
+        ]
         assert sha256(render_svg(TrisectionScene(*scaled), labels=labels)) == digest
 
 

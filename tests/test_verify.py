@@ -10,7 +10,7 @@ import morley.verify
 from morley.document import summary_document
 from morley.forward import apply_similarity, morley_triangle, side_spread
 from morley.inverse import AngleTriple, construct, equilateral_triangle
-from morley.kernel import Point, Triangle
+from morley.kernel import Point, Triangle, cross_dot
 from morley.verify import (
     ANGLE_TOL,
     LENGTH_RTOL,
@@ -78,6 +78,22 @@ class TestPolygonInteriorAngles:
     def test_too_few_vertices(self):
         with pytest.raises(ValueError):
             polygon_interior_angles([Point(0.0, 0.0), Point(1.0, 0.0)])
+
+    @pytest.mark.parametrize("k", [2.0**-1000, 2.0**1000])
+    def test_pentagon_and_its_products_keep_their_bits_at_any_scale(self, k):
+        # The pentagon identity's cycle at vertex A.  A power of two scales
+        # coordinates exactly, and cross_dot undoes it, so the turns and
+        # the products they come from must agree to the bit, including
+        # where the unscaled products would overflow or underflow.
+        pts = named_config().named_points()
+        cycle = [pts[name] for name in ("A", "I_a", "C'", "B'", "J_a")]
+        scaled = [Point(p.x * k, p.y * k) for p in cycle]
+        assert polygon_interior_angles(scaled) == polygon_interior_angles(cycle)
+        for p, q, r in zip(cycle, cycle[1:] + cycle[:1], cycle[2:] + cycle[:2]):
+            u, v = q - p, r - q
+            extent = max(abs(u.x), abs(u.y), abs(v.x), abs(v.y))
+            cross, dot, unit = cross_dot(u.x, u.y, v.x, v.y, extent)
+            assert cross_dot(u.x * k, u.y * k, v.x * k, v.y * k, extent * k) == (cross, dot, unit / k)
 
 
 class TestAngleIdentities:
@@ -192,7 +208,7 @@ class TestOuterAngles:
     @pytest.mark.xfail(
         strict=True,
         reason="c lies 8.7e-9 rad above pi/6; the outer angles at A and B miss ANGLE_TOL "
-        "by 4.3e-9 there (ROADMAP item 2: conditioning near the degenerate set)",
+        "by 4.3e-9 there (ROADMAP item 3: conditioning near the degenerate set)",
     )
     def test_triple_next_to_pi_over_six(self):
         # Sample s0468 of run_battery(1000, 1838334830).
@@ -348,15 +364,15 @@ class TestBattery:
 
     def test_measures_each_angle_once(self, monkeypatch):
         calls = Counter()
-        scaled_rays = morley.kernel._scaled_rays
+        ray_products = morley.kernel._ray_products
 
         def counting(*args):
-            calls["_scaled_rays"] += 1
-            return scaled_rays(*args)
+            calls["_ray_products"] += 1
+            return ray_products(*args)
 
-        monkeypatch.setattr(morley.kernel, "_scaled_rays", counting)
+        monkeypatch.setattr(morley.kernel, "_ray_products", counting)
         morley_triangle(Triangle(Point(0.0, 0.0), Point(4.0, 0.0), Point(0.0, 3.0)))
-        assert calls["_scaled_rays"] == 3
+        assert calls["_ray_products"] == 3
 
     def test_builds_few_points_per_sample(self, monkeypatch):
         calls = Counter()
