@@ -20,12 +20,13 @@ from morley import (
     render_svg,
     side_spread,
 )
+from morley.inverse import INNER_NAMES
 
 # 1. The 3-4-5 right triangle.
 outer = Triangle(Point(0.0, 0.0), Point(4.0, 0.0), Point(0.0, 3.0))
 inner = morley_triangle(outer)
 print("inner vertices:")
-for label, vertex in zip(inner.labels, inner.vertices):
+for label, vertex in zip(INNER_NAMES, inner.vertices):
     print(f"  {label} = ({vertex.x:.17g}, {vertex.y:.17g})")
 
 # 2. Equilateral to machine precision: the relative spread of the three

@@ -16,6 +16,7 @@ from pathlib import Path
 from .document import config_document, forward_document, parse_config_document, summary_document
 from .forward import morley_triangle, side_spread
 from .inverse import (
+    INNER_NAMES,
     AngleTriple,
     InvalidAngles,
     NotEquilateral,
@@ -152,7 +153,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
 def cmd_forward(args: argparse.Namespace) -> int:
     triangle = Triangle(args.p1, args.p2, args.p3)
     morley = morley_triangle(triangle)
-    for label, vertex in zip(morley.labels, morley.vertices):
+    for label, vertex in zip(INNER_NAMES, morley.vertices):
         print(f"{label} = ({vertex.x:.17g}, {vertex.y:.17g})")
     print(f"side spread: {side_spread(morley):.3e}")
     if args.json:

@@ -6,10 +6,10 @@ identical double.  Every document fills ``%s`` slots in fixed text: with
 ``indent`` set the stdlib encoder runs in pure Python, the costliest step
 of a large battery and of a single figure.  The encoder only lays out
 the configuration and forward templates, once at import; the report
-and the forward points repeat a fixed record.  Strings go through the
-encoder's own ``encode_basestring_ascii`` and numbers through its rule,
-so each document is byte for byte what ``json.JSONEncoder(indent=2)``
-gives; tests/test_document.py pins that against the encoder.
+repeats a fixed record.  Strings go through the encoder's own
+``encode_basestring_ascii`` and numbers through its rule, so each
+document is byte for byte what ``json.JSONEncoder(indent=2)`` gives;
+tests/test_document.py pins that against the encoder.
 parse_config_document inverts config_document exactly.
 """
 
@@ -87,8 +87,8 @@ def parse_config_document(text: str) -> MorleyConfiguration:
         arcs = data["arcs"]
         cfg = MorleyConfiguration(
             angles=AngleTriple(*(data["angles"][key] for key in "abc")),
-            inner=Triangle(*(points[name] for name in INNER_NAMES), INNER_NAMES),
-            outer=Triangle(*(points[name] for name in OUTER_NAMES), OUTER_NAMES),
+            inner=Triangle(*(points[name] for name in INNER_NAMES)),
+            outer=Triangle(*(points[name] for name in OUTER_NAMES)),
             circles=tuple(Circle(Point(*arcs[key]["center"]), arcs[key]["radius"]) for key in ARC_CHORD_NAMES),
             arc_points=tuple(points[name] for name in ARC_POINT_NAMES),
         )
@@ -133,11 +133,14 @@ _CHECK_RECORD = (
 )
 
 
-# The block of points, then the three Morley labels and the side spread.
-_FORWARD_TEMPLATE = _layout({"points": _SLOT, "morley": [_SLOT] * 3, "side_spread": _SLOT})
-
-# One entry of the forward document's "points", as the encoder lays it out.
-_POINT_RECORD = "    %s: [\n      %s,\n      %s\n    ]"
+# Slots: x and y of each outer, then each Morley vertex, then the side spread.
+_FORWARD_TEMPLATE = _layout(
+    {
+        "points": dict.fromkeys((*OUTER_NAMES, *INNER_NAMES), [_SLOT, _SLOT]),
+        "morley": list(INNER_NAMES),
+        "side_spread": _SLOT,
+    }
+)
 
 
 def _number(value: object) -> str:
@@ -189,14 +192,7 @@ def summary_document(summary: VerificationSummary) -> str:
 
 
 def forward_document(outer: Triangle, morley: Triangle) -> str:
-    """Serialize a triangle and its trisector triangle; a label given
-    twice is listed once, where it first appears, with its last point."""
-    points = dict(zip((*outer.labels, *morley.labels), (*outer.vertices, *morley.vertices)))
-    block = ",\n".join(
-        _POINT_RECORD % (encode_basestring_ascii(name), _number(p.x), _number(p.y)) for name, p in points.items()
-    )
-    return _FORWARD_TEMPLATE % (
-        "{\n%s\n  }" % block,
-        *map(encode_basestring_ascii, morley.labels),
-        _number(side_spread(morley)),
-    )
+    """Serialize a triangle and its trisector triangle: the vertices of
+    ``outer`` as A, B, C and those of ``morley`` as A', B', C'."""
+    values = [xy for p in (*outer.vertices, *morley.vertices) for xy in (p.x, p.y)]
+    return _FORWARD_TEMPLATE % (*map(_number, values), _number(side_spread(morley)))

@@ -105,8 +105,8 @@ def morley_triangle(triangle: Triangle) -> Triangle:
     """Morley triangle: pairwise meets of adjacent interior trisectors.
 
     For vertices (A, B, C) the result's first vertex is the meet of
-    the trisectors of B and C adjacent to side BC, and cyclically.
-    With the default labels the result is labelled ("A'", "B'", "C'").
+    the trisectors of B and C adjacent to side BC, and cyclically: the
+    points the figure names A', B' and C'.
     """
     v1, v2, v3 = triangle.v1, triangle.v2, triangle.v3
     turn_1, turn_2, turn_3 = signed_angle(v1, v2, v3), signed_angle(v2, v3, v1), signed_angle(v3, v1, v2)
@@ -122,7 +122,7 @@ def morley_triangle(triangle: Triangle) -> Triangle:
     near_bc = _meet(v2, first_2, v3, second_3, scale)
     near_ca = _meet(v3, first_3, v1, second_1, scale)
     near_ab = _meet(v1, first_1, v2, second_2, scale)
-    return Triangle(near_bc, near_ca, near_ab, ("A'", "B'", "C'"))
+    return Triangle(near_bc, near_ca, near_ab)
 
 
 def side_spread(triangle: Triangle) -> float:
@@ -144,4 +144,4 @@ def apply_similarity(triangle: Triangle, theta: float, scale: float, translation
             scale * (s * p.x + c * p.y) + translation.y,
         )
 
-    return Triangle(move(triangle.v1), move(triangle.v2), move(triangle.v3), triangle.labels)
+    return Triangle(move(triangle.v1), move(triangle.v2), move(triangle.v3))

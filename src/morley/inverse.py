@@ -130,7 +130,7 @@ def equilateral_triangle(side: float = 1.0) -> Triangle:
     if not (math.isfinite(side) and side > 0.0):
         raise GeometryError(f"side must be finite and positive, got {side}")
     apex = Point(side / 2.0, side * math.sqrt(3.0) / 2.0)
-    return Triangle(apex, Point(0.0, 0.0), Point(side, 0.0), INNER_NAMES)
+    return Triangle(apex, Point(0.0, 0.0), Point(side, 0.0))
 
 
 class MorleyConfiguration(Record):
@@ -165,14 +165,6 @@ class MorleyConfiguration(Record):
     def named_points(self) -> dict[str, Point]:
         """All twelve labelled points of the figure, in POINT_NAMES order."""
         return dict(zip(POINT_NAMES, (*self.outer.vertices, *self.inner.vertices, *self.arc_points)))
-
-    @property
-    def arcs(self) -> dict[str, Circle]:
-        return dict(zip(ARC_CHORD_NAMES, self.circles))
-
-    @property
-    def lines(self) -> dict[str, Line]:
-        return _side_lines(self.named_points())
 
 
 def _side_lines(points: dict[str, Point]) -> dict[str, Line]:
@@ -220,8 +212,6 @@ def construct(inner: Triangle, angles: AngleTriple) -> MorleyConfiguration:
         raise NotEquilateral(
             f"side lengths {lengths} spread more than {EQUILATERAL_RTOL:g} relative"
         )
-    if inner.labels != INNER_NAMES:
-        inner = Triangle(*inner.vertices, INNER_NAMES)
     vertices = dict(zip(INNER_NAMES, inner.vertices))
     circles: list[Circle] = []
     arc_points: list[Point] = []
@@ -243,5 +233,5 @@ def construct(inner: Triangle, angles: AngleTriple) -> MorleyConfiguration:
     # Each vertex is the meet of the side line it starts and the one
     # before it: A on AB and CA, B on BC and AB, C on CA and BC.
     lines = list(_side_lines(points).values())
-    outer = Triangle(*(intersect_lines(lines[k], lines[k - 1]) for k in range(3)), OUTER_NAMES)
+    outer = Triangle(*(intersect_lines(lines[k], lines[k - 1]) for k in range(3)))
     return MorleyConfiguration(angles, inner, outer, tuple(circles), tuple(arc_points))

@@ -190,17 +190,14 @@ class Circle(Record):
 
 
 class Triangle(Record):
-    """Three non-collinear vertices with display labels."""
+    """Three non-collinear vertices, named by position in ``morley.inverse``'s tables."""
 
-    __slots__ = ("v1", "v2", "v3", "labels")
+    __slots__ = ("v1", "v2", "v3")
 
-    def __init__(self, v1: Point, v2: Point, v3: Point, labels: tuple[str, str, str] = ("A", "B", "C")) -> None:
+    def __init__(self, v1: Point, v2: Point, v3: Point) -> None:
         _set_field(self, "v1", v1)
         _set_field(self, "v2", v2)
         _set_field(self, "v3", v3)
-        _set_field(self, "labels", labels)
-        if len(labels) != 3:
-            raise GeometryError(f"expected three labels, got {labels!r}")
         if orientation(v1, v2, v3) == 0:
             raise DegenerateTriangle(f"vertices {v1}, {v2}, {v3} are collinear")
 

@@ -20,7 +20,7 @@ import math
 from collections.abc import Callable
 
 from .forward import morley_triangle
-from .inverse import ARC_CHORD_NAMES, LINE_POINT_NAMES, LINE_VERTEX_NAMES, MorleyConfiguration
+from .inverse import ARC_CHORD_NAMES, INNER_NAMES, LINE_POINT_NAMES, LINE_VERTEX_NAMES, OUTER_NAMES, MorleyConfiguration
 from .kernel import Circle, GeometryError, Point, Record, Triangle, _set_field, require_finite, signed_angle
 
 _COL_ARC = "#9aa0a6"
@@ -159,10 +159,9 @@ def _svg(points: dict[str, _XY], extra: list[_XY], labels: bool, draw: Callable[
     if labels:
         size = _f(FONT_SIZE * extent)
         for name, (x, y) in _label_positions(points, 2.4 * radius).items():
-            escaped = name.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
             elements.append(
                 f'<text class="label" x="{_f(x)}" y="{_f(-y)}" font-size="{size}"'
-                f' fill="{_COL_LABEL}" text-anchor="middle">{escaped}</text>'
+                f' fill="{_COL_LABEL}" text-anchor="middle">{name}</text>'
             )
     header = (
         '<svg xmlns="http://www.w3.org/2000/svg" '
@@ -216,7 +215,7 @@ def _render_config(cfg: MorleyConfiguration, arcs: bool, labels: bool) -> str:
 
 def _render_trisection(scene: TrisectionScene, labels: bool) -> str:
     outer, inner = scene.outer, scene.morley
-    points = {name: (p.x, p.y) for name, p in zip((*outer.labels, *inner.labels), (*outer.vertices, *inner.vertices))}
+    points = {name: (p.x, p.y) for name, p in zip((*OUTER_NAMES, *INNER_NAMES), (*outer.vertices, *inner.vertices))}
 
     def draw(width: float, radius: float) -> list[str]:
         w, segments = _f(width), scene.trisector_segments()

@@ -1,9 +1,12 @@
+import ast
 import math
 import random
+import sys
 from collections import Counter
 
 import pytest
 
+import morley.forward
 from morley.forward import (
     _meet,
     apply_similarity,
@@ -98,7 +101,6 @@ class TestMorleyTriangle:
         for vertex, (x, y) in zip(m.vertices, RIGHT_345_VERTICES):
             assert vertex.distance_to(Point(x, y)) <= 1e-12
         assert m.side_lengths()[0] == pytest.approx(RIGHT_345_SIDE, rel=1e-12)
-        assert m.labels == ("A'", "B'", "C'")
 
     def test_equilateral_input_gives_concentric_equilateral(self):
         t = unit_equilateral()
@@ -210,3 +212,20 @@ class TestApplySimilarity:
         pushed = apply_similarity(morley_triangle(t), math.pi / 2.0, 1.0, Point(0.0, 0.0))
         worst = max(u.distance_to(v) for u, v in zip(direct.vertices, pushed.vertices))
         assert worst <= 1e-12 * t.scale()
+
+
+def test_imports_only_the_kernel_and_the_stdlib():
+    # The oracle is a witness for the construction only while it shares
+    # none of morley.inverse's code.
+    with open(morley.forward.__file__, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    package, absolute = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            package.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.ImportFrom):
+            absolute.add(node.module)
+        elif isinstance(node, ast.Import):
+            absolute.update(alias.name for alias in node.names)
+    assert package == {".kernel"}
+    assert {name.split(".")[0] for name in absolute} <= sys.stdlib_module_names

@@ -5,6 +5,8 @@ import pytest
 
 from morley.forward import morley_triangle
 from morley.inverse import (
+    ARC_CHORD_NAMES,
+    LINE_POINT_NAMES,
     POINT_NAMES,
     AngleTriple,
     InvalidAngles,
@@ -42,6 +44,10 @@ def _centroid(t: Triangle) -> Point:
 def _distance_to_line(line: Line, r: Point) -> float:
     d, w = line.q - line.p, r - line.p
     return abs(d.x * w.y - d.y * w.x) / math.hypot(d.x, d.y)
+
+
+def _side_lines(points: dict[str, Point]) -> dict[str, Line]:
+    return {key: Line(points[p], points[q]) for key, (p, q) in LINE_POINT_NAMES.items()}
 
 
 def _is_equilateral(t: Triangle, rtol: float) -> bool:
@@ -101,7 +107,6 @@ class TestEquilateralTriangle:
         t = equilateral_triangle()
         assert all(s == pytest.approx(1.0, abs=1e-15) for s in t.side_lengths())
         assert t.orientation_sign == 1
-        assert t.labels == ("A'", "B'", "C'")
 
     def test_custom_side(self):
         t = equilateral_triangle(2.5)
@@ -197,9 +202,8 @@ class TestConstructAsymmetric:
 
     def test_placed_points_on_their_arcs(self):
         pts = self.cfg.named_points()
-        arcs = self.cfg.arcs
-        assert list(arcs) == ["a", "b", "c"]
-        for key, circle in arcs.items():
+        assert list(ARC_CHORD_NAMES) == ["a", "b", "c"]
+        for key, circle in zip(ARC_CHORD_NAMES, self.cfg.circles):
             for pt in (pts["I_" + key], pts["J_" + key]):
                 gap = abs(circle.center.distance_to(pt) - circle.radius)
                 assert gap <= 1e-12 * circle.radius
@@ -207,7 +211,7 @@ class TestConstructAsymmetric:
     def test_vertices_on_their_side_lines(self):
         scale = self.cfg.outer.scale()
         a, b, c = self.cfg.outer.vertices
-        lines = self.cfg.lines
+        lines = _side_lines(self.cfg.named_points())
         assert _distance_to_line(lines["AB"], a) <= 1e-12 * scale
         assert _distance_to_line(lines["AB"], b) <= 1e-12 * scale
         assert _distance_to_line(lines["BC"], b) <= 1e-12 * scale
@@ -237,10 +241,6 @@ class TestConstructAsymmetric:
             "A", "B", "C", "A'", "B'", "C'",
             "I_a", "J_a", "I_b", "J_b", "I_c", "J_c",
         }
-
-    def test_inner_relabelled(self):
-        assert self.cfg.inner.labels == ("A'", "B'", "C'")
-        assert self.cfg.outer.labels == ("A", "B", "C")
 
 
 class TestConstructValidation:
@@ -287,9 +287,7 @@ class TestConstructSweep:
 
     def test_clockwise_inner_works(self):
         up = equilateral_triangle()
-        down = Triangle(
-            Point(up.v1.x, -up.v1.y), up.v2, up.v3, ("A'", "B'", "C'")
-        )
+        down = Triangle(Point(up.v1.x, -up.v1.y), up.v2, up.v3)
         assert down.orientation_sign == -1
         for angles in _sample_triples(random.Random(13), 50):
             cfg = construct(down, angles)
@@ -309,9 +307,18 @@ class TestConstructSweep:
             Point(3.0 * (c * p.x - s * p.y) - 7.0, 3.0 * (s * p.x + c * p.y) + 2.0)
             for p in base
         ]
-        inner = Triangle(moved[0], moved[1], moved[2], ("A'", "B'", "C'"))
+        inner = Triangle(moved[0], moved[1], moved[2])
         angles = AngleTriple.from_degrees(12.0, 31.0, 17.0)
         cfg = construct(inner, angles)
         recovered = morley_triangle(cfg.outer)
         worst = max(u.distance_to(v) for u, v in zip(inner.vertices, recovered.vertices))
         assert worst <= 1e-9 * inner.scale()
+
+    def test_inner_is_kept_as_given(self):
+        # An equilateral triangle from its own vertices, not from
+        # equilateral_triangle: the configuration holds exactly it.
+        p, q, r = Point(2.0, 1.0), Point(5.0, 1.0), Point(3.5, 1.0 + 1.5 * math.sqrt(3.0))
+        assert _is_equilateral(Triangle(p, q, r), rtol=1e-15)
+        cfg = construct(Triangle(p, q, r), AngleTriple.from_degrees(12.0, 31.0, 17.0))
+        assert cfg.inner == Triangle(p, q, r)
+        assert cfg.named_points()["A'"] is p

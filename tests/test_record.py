@@ -25,7 +25,7 @@ FIELDS = {
     Point: ("x", "y"),
     Line: ("p", "q"),
     Circle: ("center", "radius"),
-    Triangle: ("v1", "v2", "v3", "labels"),
+    Triangle: ("v1", "v2", "v3"),
     AngleTriple: ("a", "b", "c"),
     MorleyConfiguration: ("angles", "inner", "outer", "circles", "arc_points"),
     CheckReport: ("name", "measured", "expected", "tol", "passed", "mode"),
@@ -52,7 +52,7 @@ def examples():
     report = check("outer angle[A]", 1.0, 1.0, 1e-9, "signed")
     return [
         Point(1, -0.0),
-        cfg.lines["AB"],
+        Line(Point(0, 0), Point(1, 2)),
         cfg.circles[0],
         cfg.outer,
         cfg.angles,
@@ -120,5 +120,7 @@ def test_other_types_are_frozen_and_slotted(value):
 def test_keyword_and_default_arguments():
     cfg = examples()[5]
     assert MorleyConfiguration(**{name: getattr(cfg, name) for name in FIELDS[MorleyConfiguration]}) == cfg
-    assert Triangle(*cfg.outer.vertices).labels == ("A", "B", "C")
+    assert Triangle(*cfg.outer.vertices) == cfg.outer
+    with pytest.raises(TypeError):
+        Triangle(*cfg.outer.vertices, ("A", "B", "C"))
     assert CheckReport("x", 1.0, 1.0, 0.0, True).mode == "unsigned"

@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from morley.forward import morley_triangle
-from morley.inverse import AngleTriple, construct, equilateral_triangle
+from morley.inverse import ARC_CHORD_NAMES, AngleTriple, construct, equilateral_triangle
 from morley.kernel import Point, Triangle
 from morley.render import TrisectionScene, render_svg
 
@@ -89,7 +89,7 @@ class TestConfigRendering:
         svg = render_svg(cfg)
         paths = ARC_PATH.findall(svg)
         assert len(paths) == 3
-        for (key, circle), path in zip(cfg.arcs.items(), paths):
+        for key, circle, path in zip(ARC_CHORD_NAMES, cfg.circles, paths):
             x1, y1, r, large, sweep, x2, y2 = (float(v) for v in path)
             assert large == 1.0
             center = _center_from_endpoints(x1, y1, x2, y2, r, int(large), int(sweep))
@@ -226,7 +226,7 @@ class TestGoldenBytes:
         # fails on the 3-4-5 triangle at 1e300.
         scene = right_triangle_scene()
         scaled = [
-            Triangle(*(Point(p.x * scale, p.y * scale) for p in t.vertices), t.labels)
+            Triangle(*(Point(p.x * scale, p.y * scale) for p in t.vertices))
             for t in (scene.outer, scene.morley)
         ]
         assert sha256(render_svg(TrisectionScene(*scaled), labels=labels)) == digest
