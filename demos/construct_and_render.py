@@ -29,7 +29,7 @@ cfg = construct(inner, angles)
 
 # 3. The interior angles of the produced triangle are the tripled inputs.
 print("requested thirds (deg):", tuple(round(math.degrees(v), 6) for v in angles.as_tuple()))
-print("outer angles     (deg):", tuple(round(math.degrees(cfg.outer.interior_angle(i)), 6) for i in (1, 2, 3)))
+print("outer angles     (deg):", tuple(round(math.degrees(angle), 6) for angle in cfg.outer.angles()))
 
 # 4. All twelve named points of the construction are available by label.
 for label, point in cfg.named_points().items():

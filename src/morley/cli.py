@@ -25,7 +25,7 @@ from .inverse import (
 )
 from .kernel import DegenerateTriangle, GeometryError, Point, Triangle
 from .render import TrisectionScene, render_svg
-from .verify import DEFAULT_SEED, check_limit_perpendicular, limit_sequence, run_battery
+from .verify import ANGLE_TOL, DEFAULT_SEED, check_limit_perpendicular, limit_sequence, run_battery
 
 
 def _int_at_least(low: int) -> Callable[[str], int]:
@@ -107,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--tol",
         type=_positive_float,
-        default=None,
+        default=ANGLE_TOL,
         help="override the angle and relative length tolerances",
     )
     p.add_argument("--json", metavar="PATH", help="write the full report here")
@@ -139,9 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_construct(args: argparse.Namespace) -> int:
     angles = _angle_triple(args)
     cfg = construct(equilateral_triangle(args.side), angles)
-    measured = ", ".join(
-        f"{math.degrees(cfg.outer.interior_angle(i)):.6f}" for i in (1, 2, 3)
-    )
+    measured = ", ".join(f"{math.degrees(angle):.6f}" for angle in cfg.outer.angles())
     print(f"outer angles (deg): {measured}")
     if args.json:
         Path(args.json).write_text(config_document(cfg))
@@ -164,9 +162,7 @@ def cmd_forward(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    # Without --tol, run_battery's own defaults apply.
-    tols = {} if args.tol is None else {"angle_tol": args.tol, "length_rtol": args.tol}
-    summary = run_battery(samples=args.samples, seed=args.seed, **tols)
+    summary = run_battery(samples=args.samples, seed=args.seed, tol=args.tol)
     if args.json:
         Path(args.json).write_text(summary_document(summary))
     failures = summary.failures()
@@ -188,13 +184,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_limit(args: argparse.Namespace) -> int:
     inner = equilateral_triangle(args.side)
     if args.a is not None:
-        try:
-            summary = check_limit_perpendicular(args.a, inner)
-        except GeometryError:  # a failed construction: main maps it
-            raise
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        summary = check_limit_perpendicular(args.a, inner)
     else:
         summary = limit_sequence(inner)
     if args.json:

@@ -37,9 +37,10 @@ def trisectors(triangle: Triangle, vertex_index: int) -> tuple[Point, Point]:
     one third of the interior angle with the side toward the next vertex
     (in the triangle's vertex order), the second two thirds.
     """
-    v = triangle.vertex(vertex_index)
-    nxt = triangle.vertex(vertex_index % 3 + 1)
-    prv = triangle.vertex((vertex_index + 1) % 3 + 1)
+    if vertex_index not in (1, 2, 3):
+        raise ValueError(f"vertex index must be 1, 2 or 3, got {vertex_index}")
+    vertices = triangle.vertices
+    v, nxt, prv = vertices[vertex_index - 1], vertices[vertex_index % 3], vertices[(vertex_index + 1) % 3]
     turn = signed_angle(v, nxt, prv)
     if abs(turn) < MIN_TRIANGLE_ANGLE:
         raise DegenerateTriangle(

@@ -205,12 +205,6 @@ class Triangle(Record):
     def vertices(self) -> tuple[Point, Point, Point]:
         return (self.v1, self.v2, self.v3)
 
-    def vertex(self, index: int) -> Point:
-        """Vertex by 1-based index."""
-        if index not in (1, 2, 3):
-            raise ValueError(f"vertex index must be 1, 2 or 3, got {index}")
-        return self.vertices[index - 1]
-
     def side_lengths(self) -> tuple[float, float, float]:
         """Lengths of (v1 v2), (v2 v3), (v3 v1)."""
         return (
@@ -222,21 +216,10 @@ class Triangle(Record):
     def scale(self) -> float:
         return max(self.side_lengths())
 
-    @property
-    def orientation_sign(self) -> int:
-        """+1 for counter-clockwise vertex order, -1 for clockwise."""
-        return orientation(self.v1, self.v2, self.v3)
-
-    def interior_angle(self, index: int) -> float:
-        """Interior angle at the 1-based vertex index."""
-        v = self.vertex(index)
-        nxt = self.vertex(index % 3 + 1)
-        prv = self.vertex((index + 1) % 3 + 1)
-        return angle_at(v, nxt, prv)
-
-    def min_interior_angle(self) -> float:
+    def angles(self) -> tuple[float, float, float]:
+        """Interior angles at v1, v2 and v3."""
         v1, v2, v3 = self.v1, self.v2, self.v3
-        return min(angle_at(v1, v2, v3), angle_at(v2, v3, v1), angle_at(v3, v1, v2))
+        return angle_at(v1, v2, v3), angle_at(v2, v3, v1), angle_at(v3, v1, v2)
 
 
 def orientation(p: Point, q: Point, r: Point) -> int:

@@ -30,8 +30,10 @@ from collections.abc import Iterable, Sequence
 
 from .forward import apply_similarity, morley_triangle, side_spread
 from .inverse import (
+    MIN_ANGLE,
     OUTER_NAMES,
     AngleTriple,
+    InvalidAngles,
     MorleyConfiguration,
     construct,
     cyclic,
@@ -45,6 +47,7 @@ from .kernel import (
     _set_field,
     angle_at,
     cross_dot,
+    orientation,
     require_finite,
     signed_angle,
 )
@@ -95,21 +98,19 @@ def check(name: str, measured: float, expected: float, tol: float, mode: str = "
 class VerificationSummary(Record):
     """A batch of check reports with the sweep parameters that made it."""
 
-    __slots__ = ("checks", "seed", "samples", "all_pass")
+    __slots__ = ("checks", "seed", "samples")
 
-    def __init__(self, checks: tuple[CheckReport, ...], seed: int, samples: int, all_pass: bool) -> None:
-        _set_field(self, "checks", checks)
+    def __init__(self, checks: Iterable[CheckReport], seed: int = 0, samples: int = 1) -> None:
+        _set_field(self, "checks", tuple(checks))
         _set_field(self, "seed", seed)
         _set_field(self, "samples", samples)
-        _set_field(self, "all_pass", all_pass)
+
+    @property
+    def all_pass(self) -> bool:
+        return all(c.passed for c in self.checks)
 
     def failures(self) -> tuple[CheckReport, ...]:
         return tuple(c for c in self.checks if not c.passed)
-
-
-def summarize(checks: Iterable[CheckReport], seed: int = 0, samples: int = 1) -> VerificationSummary:
-    batch = tuple(checks)
-    return VerificationSummary(batch, seed, samples, all(c.passed for c in batch))
 
 
 def polygon_interior_angles(points: Sequence[Point]) -> list[float]:
@@ -162,7 +163,7 @@ def check_angle_identities(
     """The fifteen per-vertex angle identities of the configuration, each
     name led by ``prefix``."""
     pts = cfg.named_points()
-    winding = float(cfg.inner.orientation_sign)
+    winding = float(orientation(*cfg.inner.vertices))
     checks: list[CheckReport] = []
     for opposite, at_j, at_i, pentagon, full in _IDENTITY_GROUPS:
         vertex, p, q, param = opposite
@@ -184,7 +185,7 @@ def check_angle_identities(
         expected = 3.0 * getattr(cfg.angles, param)
         measured = angle_at(pts[vertex], pts[p], pts[q])
         checks.append(check(prefix + _angle_name(vertex, p, q), measured, expected, tol))
-    return summarize(checks)
+    return VerificationSummary(checks)
 
 
 def check_isosceles_arcs(cfg: MorleyConfiguration, *, prefix: str = "") -> VerificationSummary:
@@ -201,17 +202,16 @@ def check_isosceles_arcs(cfg: MorleyConfiguration, *, prefix: str = "") -> Verif
         right = pts[apex].distance_to(pts[j_name])
         ratio = left / right
         checks.append(check(f"{prefix}isosceles[{apex}: {i_name} {j_name}]", ratio, 1.0, ISOSCELES_RTOL))
-    return summarize(checks)
+    return VerificationSummary(checks)
 
 
 def check_outer_angles(cfg: MorleyConfiguration, tol: float = ANGLE_TOL, *, prefix: str = "") -> VerificationSummary:
     """Interior angles of the constructed triangle against (3a, 3b, 3c)."""
-    triples = zip((1, 2, 3), OUTER_NAMES, cfg.angles.as_tuple())
+    triples = zip(OUTER_NAMES, cfg.outer.angles(), cfg.angles.as_tuple())
     checks = []
-    for index, label, angle in triples:
-        measured = cfg.outer.interior_angle(index)
+    for label, measured, angle in triples:
         checks.append(check(f"{prefix}outer angle[{label}]", measured, 3.0 * angle, tol))
-    return summarize(checks)
+    return VerificationSummary(checks)
 
 
 def check_roundtrip(
@@ -267,9 +267,12 @@ def check_similarity_invariance(
 
 
 def check_limit_perpendicular(a_small: float, inner: Triangle | None = None) -> VerificationSummary:
-    """Small-angle probe at a single value of a (with b = c)."""
-    if not 1e-6 <= a_small <= 1e-2:
-        raise ValueError(f"small angle must lie in [1e-6, 1e-2], got {a_small}")
+    """Small-angle probe at a single value of a (with b = c).
+
+    Raises InvalidAngles unless a lies in [inverse.MIN_ANGLE, 1e-2].
+    """
+    if not MIN_ANGLE <= a_small <= 1e-2:
+        raise InvalidAngles(f"small angle must lie in [{MIN_ANGLE:g}, 1e-2], got {a_small}")
     tol = LIMIT_TOL_FACTOR * a_small
     rest = (math.pi / 3.0 - a_small) / 2.0
     cfg = construct(inner or equilateral_triangle(), AngleTriple(a_small, rest, rest))
@@ -286,7 +289,7 @@ def check_limit_perpendicular(a_small: float, inner: Triangle | None = None) -> 
     between = math.atan2(abs(cross), abs(dot))
     s_point = pts["C'"] + (pts["C'"] - pts["B'"])
     tag = f"limit[a={a_small:g}]"
-    return summarize((
+    return VerificationSummary((
         check(f"{tag} perpendicular", between, math.pi / 2.0, tol),
         check(f"{tag} dist[I_a, S]", pts["I_a"].distance_to(s_point) / side, 0.0, tol),
         check(f"{tag} dist[J_b, S]", pts["J_b"].distance_to(s_point) / side, 0.0, tol),
@@ -313,7 +316,7 @@ def limit_sequence(inner: Triangle | None = None) -> VerificationSummary:
         later - earlier for earlier, later in zip(deviations, deviations[1:])
     )
     checks.append(check("limit monotone", max(0.0, worst_increase), 0.0, 0.0))
-    return summarize(checks)
+    return VerificationSummary(checks)
 
 
 def _seeded(seed: int) -> random.Random:
@@ -351,7 +354,7 @@ def random_triangle(rng: random.Random) -> Triangle:
             candidate = Triangle(*(Point(rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0)) for _ in range(3)))
         except DegenerateTriangle:
             continue
-        if candidate.min_interior_angle() >= math.radians(3.0):
+        if min(candidate.angles()) >= math.radians(3.0):
             return candidate
 
 
@@ -364,12 +367,7 @@ def random_similarity(rng: random.Random) -> tuple[float, float, Point]:
     return theta, scale, shift
 
 
-def run_battery(
-    samples: int = 100,
-    seed: int = DEFAULT_SEED,
-    angle_tol: float = ANGLE_TOL,
-    length_rtol: float = LENGTH_RTOL,
-) -> VerificationSummary:
+def run_battery(samples: int = 100, seed: int = DEFAULT_SEED, tol: float = ANGLE_TOL) -> VerificationSummary:
     """The full sweep: per-sample identity batteries plus limit probes.
 
     Each sample constructs a configuration from a random angle triple
@@ -377,6 +375,9 @@ def run_battery(
     check; it also trisects an unrelated random triangle once and checks
     that result for equilaterality and similarity commutation.  Each
     check is named, as it is built, with the sample index as a prefix.
+    ``tol`` goes to every angle and length check: absolute in radians
+    for the angles, relative to the figure's scale for the lengths.  The
+    isosceles and limit checks keep their own tolerances.
     """
     inner = equilateral_triangle()
     rng = _seeded(seed)
@@ -385,17 +386,17 @@ def run_battery(
     for index, angles in enumerate(triples):
         prefix = f"s{index:04d}/"
         cfg = construct(inner, angles)
-        checks += check_angle_identities(cfg, angle_tol, prefix=prefix).checks
+        checks += check_angle_identities(cfg, tol, prefix=prefix).checks
         checks += check_isosceles_arcs(cfg, prefix=prefix).checks
-        checks += check_outer_angles(cfg, angle_tol, prefix=prefix).checks
-        checks.append(check_roundtrip(inner, angles, length_rtol, prefix=prefix))
+        checks += check_outer_angles(cfg, tol, prefix=prefix).checks
+        checks.append(check_roundtrip(inner, angles, tol, prefix=prefix))
 
         triangle = random_triangle(rng)
         trisected = morley_triangle(triangle)
-        checks.append(check_equilateral_forward(trisected, length_rtol, prefix=prefix))
+        checks.append(check_equilateral_forward(trisected, tol, prefix=prefix))
         theta, scale, shift = random_similarity(rng)
         checks.append(
-            check_similarity_invariance(triangle, trisected, theta, scale, shift, length_rtol, prefix=prefix)
+            check_similarity_invariance(triangle, trisected, theta, scale, shift, tol, prefix=prefix)
         )
     checks.extend(limit_sequence(inner).checks)
-    return summarize(checks, seed, samples)
+    return VerificationSummary(checks, seed, samples)

@@ -70,8 +70,8 @@ def test_criterion_2_outer_angles(sweep):
     _, triples, configs = sweep
     worst = 0.0
     for angles, cfg in zip(triples, configs):
-        for index, value in zip((1, 2, 3), angles.as_tuple()):
-            worst = max(worst, abs(cfg.outer.interior_angle(index) - 3.0 * value))
+        for angle, value in zip(cfg.outer.angles(), angles.as_tuple()):
+            worst = max(worst, abs(angle - 3.0 * value))
     ok = worst <= 1e-9
     report(2, ok, f"constructed interior angles equal (3a, 3b, 3c), worst error "
                   f"{worst:.3e} rad <= 1e-9")

@@ -23,7 +23,7 @@ from morley.inverse import (
     equilateral_triangle,
 )
 from morley.kernel import GeometryError, Point, Triangle
-from morley.verify import CheckReport, run_battery, summarize
+from morley.verify import CheckReport, VerificationSummary, run_battery
 
 
 def configs():
@@ -162,7 +162,7 @@ class TestSummaryMatchesStdlibEncoder:
         samples=1,
     )
     def test_bytes_equal_the_encoder(self, reports, seed, samples):
-        summary = summarize(reports, seed, samples)
+        summary = VerificationSummary(reports, seed, samples)
         assert summary_document(summary) == _encoder_summary(summary)
 
 

@@ -58,7 +58,7 @@ class TestTrisectors:
 
     def test_clockwise_triangle_turns_the_other_way(self):
         t = Triangle(Point(0.0, 0.0), Point(0.0, 1.0), Point(1.0, 0.0))
-        assert t.orientation_sign == -1
+        assert orientation(*t.vertices) == -1
         first, _ = trisectors(t, 1)
         # Side toward the next vertex points up; the trisector must
         # turn toward the interior, which lies clockwise from it.
@@ -69,9 +69,8 @@ class TestTrisectors:
         for _ in range(100):
             t = random_triangle(rng)
             for index in (1, 2, 3):
-                v = t.vertex(index)
-                nxt = t.vertex(index % 3 + 1)
-                prv = t.vertex((index + 1) % 3 + 1)
+                vertices = t.vertices
+                v, nxt, prv = vertices[index - 1], vertices[index % 3], vertices[(index + 1) % 3]
                 theta = angle_at(v, nxt, prv)
                 first, second = trisectors(t, index)
                 assert math.hypot(first.x, first.y) == pytest.approx(1.0, abs=1e-15)
@@ -115,9 +114,8 @@ class TestMorleyTriangle:
         center = _centroid(t)
         # The Morley vertex near a side lies on the median axis
         # through that side's midpoint.
-        for index, (p, q) in zip((1, 2, 3), ((t.v2, t.v3), (t.v3, t.v1), (t.v1, t.v2))):
+        for vertex, (p, q) in zip(m.vertices, ((t.v2, t.v3), (t.v3, t.v1), (t.v1, t.v2))):
             mid = Point((p.x + q.x) / 2.0, (p.y + q.y) / 2.0)
-            vertex = m.vertex(index)
             assert angle_at(center, mid, vertex) <= 1e-9
 
     def test_first_vertex_is_nearest_to_first_side(self):
@@ -138,7 +136,7 @@ class TestMorleyTriangle:
         for _ in range(50):
             t = random_triangle(rng)
             m = morley_triangle(t)
-            sign = t.orientation_sign
+            sign = orientation(*t.vertices)
             for p in m.vertices:
                 assert orientation(t.v1, t.v2, p) == sign
                 assert orientation(t.v2, t.v3, p) == sign

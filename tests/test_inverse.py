@@ -99,14 +99,14 @@ class TestAngleTriple:
     def test_minimum_angle_is_constructible(self):
         rest = (THIRD - MIN_ANGLE) / 2.0
         cfg = construct(equilateral_triangle(), AngleTriple(MIN_ANGLE, rest, rest))
-        assert cfg.outer.interior_angle(1) == pytest.approx(3.0 * MIN_ANGLE, abs=1e-9)
+        assert cfg.outer.angles()[0] == pytest.approx(3.0 * MIN_ANGLE, abs=1e-9)
 
 
 class TestEquilateralTriangle:
     def test_unit_sides_and_winding(self):
         t = equilateral_triangle()
         assert all(s == pytest.approx(1.0, abs=1e-15) for s in t.side_lengths())
-        assert t.orientation_sign == 1
+        assert orientation(*t.vertices) == 1
 
     def test_custom_side(self):
         t = equilateral_triangle(2.5)
@@ -168,8 +168,8 @@ class TestConstructSymmetric:
         assert _is_equilateral(self.cfg.outer, rtol=1e-12)
 
     def test_outer_angles_are_sixty_degrees(self):
-        for i in (1, 2, 3):
-            assert self.cfg.outer.interior_angle(i) == pytest.approx(THIRD, abs=1e-12)
+        for angle in self.cfg.outer.angles():
+            assert angle == pytest.approx(THIRD, abs=1e-12)
 
     def test_side_ratio_matches_frozen_value(self):
         ratio = self.cfg.outer.scale() / self.inner.scale()
@@ -197,8 +197,8 @@ class TestConstructAsymmetric:
 
     def test_outer_angles_tripled(self):
         expected = [math.radians(60.0), math.radians(45.0), math.radians(75.0)]
-        for i, want in zip((1, 2, 3), expected):
-            assert self.cfg.outer.interior_angle(i) == pytest.approx(want, abs=1e-9)
+        for angle, want in zip(self.cfg.outer.angles(), expected):
+            assert angle == pytest.approx(want, abs=1e-9)
 
     def test_placed_points_on_their_arcs(self):
         pts = self.cfg.named_points()
@@ -274,8 +274,8 @@ class TestConstructSweep:
                 worst_roundtrip,
                 max(u.distance_to(v) for u, v in zip(inner.vertices, recovered.vertices)),
             )
-            for i, value in zip((1, 2, 3), angles.as_tuple()):
-                worst_angle = max(worst_angle, abs(cfg.outer.interior_angle(i) - 3.0 * value))
+            for angle, value in zip(cfg.outer.angles(), angles.as_tuple()):
+                worst_angle = max(worst_angle, abs(angle - 3.0 * value))
         assert worst_roundtrip <= 1e-9 * inner.scale()
         assert worst_angle <= 1e-9
 
@@ -283,15 +283,15 @@ class TestConstructSweep:
         inner = equilateral_triangle()
         for angles in _sample_triples(random.Random(12), 50):
             cfg = construct(inner, angles)
-            assert cfg.outer.orientation_sign == inner.orientation_sign
+            assert orientation(*cfg.outer.vertices) == orientation(*inner.vertices)
 
     def test_clockwise_inner_works(self):
         up = equilateral_triangle()
         down = Triangle(Point(up.v1.x, -up.v1.y), up.v2, up.v3)
-        assert down.orientation_sign == -1
+        assert orientation(*down.vertices) == -1
         for angles in _sample_triples(random.Random(13), 50):
             cfg = construct(down, angles)
-            assert cfg.outer.orientation_sign == -1
+            assert orientation(*cfg.outer.vertices) == -1
             recovered = morley_triangle(cfg.outer)
             worst = max(
                 u.distance_to(v) for u, v in zip(down.vertices, recovered.vertices)

@@ -368,19 +368,24 @@ class TestTriangle:
         t = Triangle(Point(0.0, 0.0), Point(4.0, 0.0), Point(0.0, 3.0))
         assert t.side_lengths() == (4.0, 5.0, 3.0)
         assert t.scale() == 5.0
-        assert t.orientation_sign == 1
-        assert t.vertex(1) == Point(0.0, 0.0)
-        with pytest.raises(ValueError):
-            t.vertex(0)
+        assert orientation(*t.vertices) == 1
+        assert t.vertices[0] == Point(0.0, 0.0)
 
     def test_interior_angles_sum_to_pi(self):
         t = Triangle(Point(0.0, 0.0), Point(4.0, 0.0), Point(1.0, 3.0))
-        total = sum(t.interior_angle(i) for i in (1, 2, 3))
+        total = sum(t.angles())
         assert total == pytest.approx(math.pi, abs=1e-12)
 
     def test_right_angle_measured(self):
         t = Triangle(Point(0.0, 0.0), Point(4.0, 0.0), Point(0.0, 3.0))
-        assert t.interior_angle(1) == pytest.approx(math.pi / 2.0, abs=1e-15)
+        assert t.angles()[0] == pytest.approx(math.pi / 2.0, abs=1e-15)
+
+    @pytest.mark.parametrize("scale", [2.0**-1000, 1.0, 2.0**1000])
+    def test_angles_are_the_three_vertex_measures(self, scale):
+        v1, v2, v3 = Point(0.0, 0.0), Point(4.0 * scale, 0.0), Point(1.0 * scale, 3.0 * scale)
+        angles = Triangle(v1, v2, v3).angles()
+        assert angles == (angle_at(v1, v2, v3), angle_at(v2, v3, v1), angle_at(v3, v1, v2))
+        assert sum(angles) == pytest.approx(math.pi, abs=1e-12)
 
     def test_collinear_vertices_raise(self):
         with pytest.raises(DegenerateTriangle):

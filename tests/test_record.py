@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from morley.inverse import AngleTriple, MorleyConfiguration, construct, equilateral_triangle
 from morley.kernel import Circle, Line, Point, Triangle
 from morley.render import TrisectionScene
-from morley.verify import CheckReport, VerificationSummary, check, summarize
+from morley.verify import CheckReport, VerificationSummary, check
 
 # Each type's fields in the order its dataclass declared them.
 FIELDS = {
@@ -29,7 +29,7 @@ FIELDS = {
     AngleTriple: ("a", "b", "c"),
     MorleyConfiguration: ("angles", "inner", "outer", "circles", "arc_points"),
     CheckReport: ("name", "measured", "expected", "tol", "passed", "mode"),
-    VerificationSummary: ("checks", "seed", "samples", "all_pass"),
+    VerificationSummary: ("checks", "seed", "samples"),
     TrisectionScene: ("outer", "morley"),
 }
 
@@ -58,7 +58,7 @@ def examples():
         cfg.angles,
         cfg,
         report,
-        summarize([report], seed=7, samples=1),
+        VerificationSummary([report], seed=7, samples=1),
         TrisectionScene.from_triangle(Triangle(Point(0, 0), Point(4, 0), Point(0, 3))),
     ]
 
@@ -124,3 +124,4 @@ def test_keyword_and_default_arguments():
     with pytest.raises(TypeError):
         Triangle(*cfg.outer.vertices, ("A", "B", "C"))
     assert CheckReport("x", 1.0, 1.0, 0.0, True).mode == "unsigned"
+    assert VerificationSummary([]) == VerificationSummary((), 0, 1)

@@ -9,12 +9,13 @@ import morley.kernel
 import morley.verify
 from morley.document import summary_document
 from morley.forward import apply_similarity, morley_triangle, side_spread
-from morley.inverse import AngleTriple, construct, equilateral_triangle
+from morley.inverse import MIN_ANGLE, AngleTriple, InvalidAngles, construct, equilateral_triangle
 from morley.kernel import Point, Triangle, cross_dot
 from morley.verify import (
     ANGLE_TOL,
     LENGTH_RTOL,
     CheckReport,
+    VerificationSummary,
     _sample_triples,
     check,
     check_angle_identities,
@@ -29,7 +30,6 @@ from morley.verify import (
     random_similarity,
     random_triangle,
     run_battery,
-    summarize,
 )
 
 THIRD = math.pi / 3.0
@@ -54,10 +54,18 @@ class TestCheckReport:
 
     def test_summarize(self):
         reports = [check("a", 0.0, 0.0, 1.0), check("b", 5.0, 0.0, 1.0)]
-        summary = summarize(reports, seed=9, samples=3)
+        summary = VerificationSummary(reports, seed=9, samples=3)
         assert not summary.all_pass
         assert summary.failures() == (reports[1],)
         assert (summary.seed, summary.samples) == (9, 3)
+        assert summary.checks == tuple(reports)
+
+    def test_all_pass_is_derived_from_checks(self):
+        passing, failing = check("a", 0.0, 0.0, 1.0), check("b", 5.0, 0.0, 1.0)
+        assert VerificationSummary.__slots__ == ("checks", "seed", "samples")
+        assert VerificationSummary([passing]).all_pass is True
+        assert VerificationSummary([passing, failing]).all_pass is False
+        assert VerificationSummary([]).all_pass is True
 
 
 class TestPolygonInteriorAngles:
@@ -272,10 +280,12 @@ class TestLimit:
         assert d_j.measured == pytest.approx(1e-4, rel=0.01)
 
     def test_probe_domain(self):
-        with pytest.raises(ValueError):
+        # InvalidAngles is what the CLI maps to exit 2.
+        with pytest.raises(InvalidAngles):
             check_limit_perpendicular(0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidAngles):
             check_limit_perpendicular(1e-8)
+        assert len(check_limit_perpendicular(MIN_ANGLE).checks) == 3
 
     def test_sequence_is_monotone(self):
         # From side 1e150 up unscaled products of coordinates overflow, and
@@ -308,7 +318,7 @@ class TestSampling:
         rng = random.Random(33)
         for _ in range(50):
             t = random_triangle(rng)
-            assert t.min_interior_angle() >= math.radians(3.0)
+            assert min(t.angles()) >= math.radians(3.0)
 
 
 class TestBattery:
@@ -333,9 +343,12 @@ class TestBattery:
         assert summary_document(one) == summary_document(two)
 
     def test_impossible_tolerance_reports_failures(self):
-        summary = run_battery(samples=3, seed=7, angle_tol=1e-17)
+        summary = run_battery(samples=3, seed=7, tol=1e-17)
         assert not summary.all_pass
-        assert len(summary.failures()) > 0
+        # The one tolerance reaches both the angle and the length checks.
+        failed = {r.name.split("/", 1)[1] for r in summary.failures()}
+        assert any(name.startswith(("angle[", "outer angle[")) for name in failed)
+        assert failed & {"roundtrip", "forward equilateral", "similarity"}
 
     def test_rejects_nonpositive_samples(self):
         with pytest.raises(ValueError):
@@ -436,7 +449,7 @@ def _reference_battery(samples, seed):
             CheckReport(prefix + r.name, r.measured, r.expected, r.tol, r.passed, r.mode) for r in batch
         )
     checks.extend(limit_sequence(inner).checks)
-    return summarize(checks, seed, samples)
+    return VerificationSummary(checks, seed, samples)
 
 
 @pytest.mark.parametrize("seed", [0, 11, 2024])
