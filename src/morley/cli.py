@@ -2,7 +2,7 @@
 
 Exit codes: 0 success (and every check passed, for verifying
 commands), 1 at least one check failed, 2 bad usage or invalid input,
-3 a numerically degenerate construction.
+3 a numerically degenerate construction or a non-finite drawing.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from pathlib import Path
 
 from .document import config_document, forward_document, parse_config_document, summary_document
@@ -26,19 +26,6 @@ from .inverse import (
 from .kernel import DegenerateTriangle, GeometryError, Point, Triangle
 from .render import TrisectionScene, render_svg
 from .verify import ANGLE_TOL, DEFAULT_SEED, check_limit_perpendicular, limit_sequence, run_battery
-
-
-def _int_at_least(low: int) -> Callable[[str], int]:
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
-        return value
-
-    return parse
 
 
 def _positive_float(text: str) -> float:
@@ -102,8 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_forward)
 
     p = sub.add_parser("verify", help="run the randomized verification battery")
-    p.add_argument("--samples", type=_int_at_least(1), default=100, help="number of angle triples")
-    p.add_argument("--seed", type=_int_at_least(0), default=DEFAULT_SEED, help="sweep seed")
+    p.add_argument("--samples", type=int, default=100, help="number of angle triples")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="sweep seed")
     p.add_argument(
         "--tol",
         type=_positive_float,
@@ -116,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("limit", help="probe the small-angle degeneration")
     p.add_argument(
         "--a",
-        type=_positive_float,
+        type=float,
         default=None,
         help="single small angle in radians (default: a decreasing sequence)",
     )
@@ -233,7 +220,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except GeometryError as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
+    # Last, as GeometryError is a ValueError: a bound the library checks, e.g. run_battery's.
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

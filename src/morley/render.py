@@ -5,9 +5,9 @@ fixed, coordinates are printed with 9 significant digits, and all
 styling is inlined.  Scene coordinates keep the library's y-up
 convention and are flipped only at emission, so figures appear in the
 usual mathematical orientation.  A drawing builds no Point: positions
-and the vectors derived from them are (x, y) float pairs, each float step
-standing for the Point operation it replaces and checked by _finite where
-that could go non-finite, so a drawing fails as the Point would.
+and the vectors derived from them are (x, y) float pairs.  Every number
+of a drawing is printed by _f, which raises GeometryError for one that
+is not finite, so no drawing holds an inf or a nan.
 
 Style lengths (stroke width, point radius, font size) are fractions of
 the scene extent, which makes drawings of any absolute size look the
@@ -21,7 +21,7 @@ from collections.abc import Callable
 
 from .forward import morley_triangle
 from .inverse import ARC_CHORD_NAMES, INNER_NAMES, LINE_POINT_NAMES, LINE_VERTEX_NAMES, OUTER_NAMES, MorleyConfiguration
-from .kernel import Circle, GeometryError, Point, Record, Triangle, _set_field, require_finite, signed_angle
+from .kernel import Circle, GeometryError, Point, Record, Triangle, _isfinite, _set_field, signed_angle
 
 _COL_ARC = "#9aa0a6"
 _COL_CONSTRUCTION = "#4878cf"
@@ -63,12 +63,9 @@ class TrisectionScene(Record):
 def _f(x: float) -> str:
     if x == 0.0:
         return "0"
+    if not _isfinite(x):
+        raise GeometryError(f"the drawing needs the non-finite number {x}")
     return "%.9g" % x
-
-
-def _finite(x: float, y: float) -> _XY:
-    require_finite(x, y)
-    return x, y
 
 
 def _arc_extremes(circle: Circle, start: Point, end: Point, direction: float) -> list[_XY]:
@@ -83,7 +80,7 @@ def _arc_extremes(circle: Circle, start: Point, end: Point, direction: float) ->
     for k in range(4):
         phi = k * math.pi / 2.0
         if (direction * (phi - theta_s)) % (2.0 * math.pi) <= span:
-            points.append(_finite(cx + math.cos(phi) * r, cy + math.sin(phi) * r))
+            points.append((cx + math.cos(phi) * r, cy + math.sin(phi) * r))
     return points
 
 
@@ -125,13 +122,13 @@ def _label_positions(points: dict[str, _XY], offset: float) -> dict[str, _XY]:
     """Each point pushed ``offset`` away from the centroid of all of them
     (straight up for a point that sits on the centroid)."""
     n = len(points)
-    cx, cy = _finite(sum(x for x, _ in points.values()) / n, sum(y for _, y in points.values()) / n)
+    cx, cy = sum(x for x, _ in points.values()) / n, sum(y for _, y in points.values()) / n
     out = {}
     for name, (x, y) in points.items():
-        dx, dy = _finite(x - cx, y - cy)
+        dx, dy = x - cx, y - cy
         norm = math.hypot(dx, dy)
-        ux, uy = (0.0, 1.0) if norm <= 1e-12 * offset else _finite(dx * (1.0 / norm), dy * (1.0 / norm))
-        out[name] = _finite(x + ux * offset, y + uy * offset)
+        ux, uy = (0.0, 1.0) if norm <= 1e-12 * offset else (dx * (1.0 / norm), dy * (1.0 / norm))
+        out[name] = x + ux * offset, y + uy * offset
     return out
 
 
@@ -139,14 +136,14 @@ def _carrier_segment(p: _XY, q: _XY, through: list[_XY]) -> tuple[_XY, _XY]:
     """Segment along line pq covering pq and every projected point, with
     8% of that span added at each end."""
     (px, py), (qx, qy) = p, q
-    dx, dy = _finite(qx - px, qy - py)
+    dx, dy = qx - px, qy - py
     length = math.hypot(dx, dy)
-    ux, uy = _finite(dx * (1.0 / length), dy * (1.0 / length))
-    ts = [0.0, length] + [ux * wx + uy * wy for wx, wy in (_finite(rx - px, ry - py) for rx, ry in through)]
+    ux, uy = dx * (1.0 / length), dy * (1.0 / length)
+    ts = [0.0, length] + [ux * (rx - px) + uy * (ry - py) for rx, ry in through]
     lo, hi = min(ts), max(ts)
     span = hi - lo
     a, b = lo - 0.08 * span, hi + 0.08 * span
-    return _finite(px + ux * a, py + uy * a), _finite(px + ux * b, py + uy * b)
+    return (px + ux * a, py + uy * a), (px + ux * b, py + uy * b)
 
 
 def _svg(points: dict[str, _XY], extra: list[_XY], labels: bool, draw: Callable[[float, float], list[str]]) -> str:

@@ -54,8 +54,8 @@ from .kernel import (
 
 DEFAULT_SEED = 42
 
-# Default tolerances.  Angles are absolute in radians, lengths are
-# relative to the figure scale.
+# Default tolerance: absolute in radians for angles, relative to the
+# figure scale for lengths.  Only bench/workloads.py imports LENGTH_RTOL.
 ANGLE_TOL = 1e-9
 LENGTH_RTOL = 1e-9
 ISOSCELES_RTOL = 1e-12
@@ -71,28 +71,24 @@ MIN_SAMPLE_ANGLE = math.radians(1.0)
 
 
 class CheckReport(Record):
-    """One named measurement compared against its expected value."""
+    """One named measurement; it passes when within ``tol`` of its expected value."""
 
-    __slots__ = ("name", "measured", "expected", "tol", "passed", "mode")
+    __slots__ = ("name", "measured", "expected", "tol", "mode")
 
-    def __init__(
-        self, name: str, measured: float, expected: float, tol: float, passed: bool, mode: str = "unsigned"
-    ) -> None:
+    def __init__(self, name: str, measured: float, expected: float, tol: float, mode: str = "unsigned") -> None:
         _set_field(self, "name", name)
         _set_field(self, "measured", measured)
         _set_field(self, "expected", expected)
         _set_field(self, "tol", tol)
-        _set_field(self, "passed", passed)
         _set_field(self, "mode", mode)
 
     @property
     def abs_error(self) -> float:
         return abs(self.measured - self.expected)
 
-
-def check(name: str, measured: float, expected: float, tol: float, mode: str = "unsigned") -> CheckReport:
-    passed = abs(measured - expected) <= tol
-    return CheckReport(name, measured, expected, tol, passed, mode)
+    @property
+    def passed(self) -> bool:
+        return self.abs_error <= self.tol
 
 
 class VerificationSummary(Record):
@@ -171,20 +167,20 @@ def check_angle_identities(
         expected = math.pi / 3.0 - 2.0 * value
         measured = winding * signed_angle(pts[vertex], pts[p], pts[q])
         mode = "unsigned" if value < math.pi / 6.0 else "signed"
-        checks.append(check(prefix + _angle_name(vertex, p, q), measured, expected, tol, mode))
+        checks.append(CheckReport(prefix + _angle_name(vertex, p, q), measured, expected, tol, mode))
 
         for vertex, p, q, param in (at_j, at_i):
             expected = 2.0 * math.pi / 3.0 - getattr(cfg.angles, param)
             measured = angle_at(pts[vertex], pts[p], pts[q])
-            checks.append(check(prefix + _angle_name(vertex, p, q), measured, expected, tol))
+            checks.append(CheckReport(prefix + _angle_name(vertex, p, q), measured, expected, tol))
 
         measured = math.fsum(polygon_interior_angles([pts[name] for name in pentagon]))
-        checks.append(check(f"{prefix}pentagon[{' '.join(pentagon)}]", measured, 3.0 * math.pi, tol))
+        checks.append(CheckReport(f"{prefix}pentagon[{' '.join(pentagon)}]", measured, 3.0 * math.pi, tol))
 
         vertex, p, q, param = full
         expected = 3.0 * getattr(cfg.angles, param)
         measured = angle_at(pts[vertex], pts[p], pts[q])
-        checks.append(check(prefix + _angle_name(vertex, p, q), measured, expected, tol))
+        checks.append(CheckReport(prefix + _angle_name(vertex, p, q), measured, expected, tol))
     return VerificationSummary(checks)
 
 
@@ -201,7 +197,7 @@ def check_isosceles_arcs(cfg: MorleyConfiguration, *, prefix: str = "") -> Verif
         left = pts[apex].distance_to(pts[i_name])
         right = pts[apex].distance_to(pts[j_name])
         ratio = left / right
-        checks.append(check(f"{prefix}isosceles[{apex}: {i_name} {j_name}]", ratio, 1.0, ISOSCELES_RTOL))
+        checks.append(CheckReport(f"{prefix}isosceles[{apex}: {i_name} {j_name}]", ratio, 1.0, ISOSCELES_RTOL))
     return VerificationSummary(checks)
 
 
@@ -210,12 +206,12 @@ def check_outer_angles(cfg: MorleyConfiguration, tol: float = ANGLE_TOL, *, pref
     triples = zip(OUTER_NAMES, cfg.outer.angles(), cfg.angles.as_tuple())
     checks = []
     for label, measured, angle in triples:
-        checks.append(check(f"{prefix}outer angle[{label}]", measured, 3.0 * angle, tol))
+        checks.append(CheckReport(f"{prefix}outer angle[{label}]", measured, 3.0 * angle, tol))
     return VerificationSummary(checks)
 
 
 def check_roundtrip(
-    inner: Triangle, angles: AngleTriple, rtol: float = LENGTH_RTOL, *, prefix: str = ""
+    inner: Triangle, angles: AngleTriple, tol: float = ANGLE_TOL, *, prefix: str = ""
 ) -> CheckReport:
     """Construct, trisect independently, and compare with the input.
 
@@ -231,14 +227,14 @@ def check_roundtrip(
         u.distance_to(v)
         for u, v in zip(cfg.inner.vertices, recovered.vertices)
     )
-    return check(prefix + "roundtrip", worst / scale, 0.0, rtol)
+    return CheckReport(prefix + "roundtrip", worst / scale, 0.0, tol)
 
 
-def check_equilateral_forward(trisected: Triangle, rtol: float = LENGTH_RTOL, *, prefix: str = "") -> CheckReport:
+def check_equilateral_forward(trisected: Triangle, tol: float = ANGLE_TOL, *, prefix: str = "") -> CheckReport:
     """Side spread of ``trisected``, the trisector triangle
     (``morley_triangle``) of an arbitrary triangle."""
     spread = side_spread(trisected)
-    return check(prefix + "forward equilateral", spread, 0.0, rtol)
+    return CheckReport(prefix + "forward equilateral", spread, 0.0, tol)
 
 
 def check_similarity_invariance(
@@ -247,7 +243,7 @@ def check_similarity_invariance(
     theta: float,
     scale: float,
     translation: Point,
-    rtol: float = LENGTH_RTOL,
+    tol: float = ANGLE_TOL,
     *,
     prefix: str = "",
 ) -> CheckReport:
@@ -263,7 +259,7 @@ def check_similarity_invariance(
     pushed = apply_similarity(trisected, theta, scale, translation)
     ref = moved.scale()
     worst = max(u.distance_to(v) for u, v in zip(direct.vertices, pushed.vertices))
-    return check(prefix + "similarity", worst / ref, 0.0, rtol)
+    return CheckReport(prefix + "similarity", worst / ref, 0.0, tol)
 
 
 def check_limit_perpendicular(a_small: float, inner: Triangle | None = None) -> VerificationSummary:
@@ -290,9 +286,9 @@ def check_limit_perpendicular(a_small: float, inner: Triangle | None = None) -> 
     s_point = pts["C'"] + (pts["C'"] - pts["B'"])
     tag = f"limit[a={a_small:g}]"
     return VerificationSummary((
-        check(f"{tag} perpendicular", between, math.pi / 2.0, tol),
-        check(f"{tag} dist[I_a, S]", pts["I_a"].distance_to(s_point) / side, 0.0, tol),
-        check(f"{tag} dist[J_b, S]", pts["J_b"].distance_to(s_point) / side, 0.0, tol),
+        CheckReport(f"{tag} perpendicular", between, math.pi / 2.0, tol),
+        CheckReport(f"{tag} dist[I_a, S]", pts["I_a"].distance_to(s_point) / side, 0.0, tol),
+        CheckReport(f"{tag} dist[J_b, S]", pts["J_b"].distance_to(s_point) / side, 0.0, tol),
     ))
 
 
@@ -315,7 +311,7 @@ def limit_sequence(inner: Triangle | None = None) -> VerificationSummary:
     worst_increase = max(
         later - earlier for earlier, later in zip(deviations, deviations[1:])
     )
-    checks.append(check("limit monotone", max(0.0, worst_increase), 0.0, 0.0))
+    checks.append(CheckReport("limit monotone", max(0.0, worst_increase), 0.0, 0.0))
     return VerificationSummary(checks)
 
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from morley.inverse import AngleTriple, MorleyConfiguration, construct, equilateral_triangle
 from morley.kernel import Circle, Line, Point, Triangle
 from morley.render import TrisectionScene
-from morley.verify import CheckReport, VerificationSummary, check
+from morley.verify import CheckReport, VerificationSummary
 
 # Each type's fields in the order its dataclass declared them.
 FIELDS = {
@@ -28,7 +28,7 @@ FIELDS = {
     Triangle: ("v1", "v2", "v3"),
     AngleTriple: ("a", "b", "c"),
     MorleyConfiguration: ("angles", "inner", "outer", "circles", "arc_points"),
-    CheckReport: ("name", "measured", "expected", "tol", "passed", "mode"),
+    CheckReport: ("name", "measured", "expected", "tol", "mode"),
     VerificationSummary: ("checks", "seed", "samples"),
     TrisectionScene: ("outer", "morley"),
 }
@@ -49,7 +49,7 @@ def raw(cls, values):
 
 def examples():
     cfg = construct(equilateral_triangle(), AngleTriple.from_degrees(20.0, 15.0, 25.0))
-    report = check("outer angle[A]", 1.0, 1.0, 1e-9, "signed")
+    report = CheckReport("outer angle[A]", 1.0, 1.0, 1e-9, "signed")
     return [
         Point(1, -0.0),
         Line(Point(0, 0), Point(1, 2)),
@@ -123,5 +123,5 @@ def test_keyword_and_default_arguments():
     assert Triangle(*cfg.outer.vertices) == cfg.outer
     with pytest.raises(TypeError):
         Triangle(*cfg.outer.vertices, ("A", "B", "C"))
-    assert CheckReport("x", 1.0, 1.0, 0.0, True).mode == "unsigned"
+    assert CheckReport("x", 1.0, 1.0, 0.0).mode == "unsigned"
     assert VerificationSummary([]) == VerificationSummary((), 0, 1)

@@ -1,13 +1,17 @@
 import hashlib
+import json
 import math
 import re
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from morley.document import config_document, parse_config_document
 from morley.forward import morley_triangle
-from morley.inverse import ARC_CHORD_NAMES, AngleTriple, construct, equilateral_triangle
-from morley.kernel import Point, Triangle
+from morley.inverse import ARC_CHORD_NAMES, POINT_NAMES, AngleTriple, construct, equilateral_triangle
+from morley.kernel import GeometryError, Point, Triangle
 from morley.render import TrisectionScene, render_svg
 
 
@@ -285,3 +289,65 @@ class TestLabelsAtAnyScale:
 
         for got, want in zip(offsets(scale), offsets(1.0)):
             assert got == pytest.approx(want, abs=1e-8)
+
+
+# Coordinates and factors up to the largest finite float.
+_far = st.floats(-1.8e308, 1.8e308)
+NON_FINITE = re.compile(r"\b(?:inf|nan)\b")
+
+
+def assert_drawn_finite_or_refused(scene):
+    """Every drawing of ``scene`` raises GeometryError or holds no inf or nan."""
+    for arcs in (True, False):
+        for labels in (True, False):
+            try:
+                svg = render_svg(scene, arcs=arcs, labels=labels)
+            except GeometryError:
+                continue
+            assert not NON_FINITE.search(svg), svg
+
+
+def _document(triple, scale, dx, dy, radius, moved):
+    """A configuration document mapped by x -> scale * x + d, its radii
+    multiplied by scale * radius, and one point then moved, if given."""
+    data = json.loads(config_document(construct(equilateral_triangle(), AngleTriple.from_degrees(*triple))))
+    for xy in [*data["points"].values(), *(arc["center"] for arc in data["arcs"].values())]:
+        xy[:] = [xy[0] * scale + dx, xy[1] * scale + dy]
+    for arc in data["arcs"].values():
+        arc["radius"] *= scale * radius
+    if moved is not None:
+        name, x, y = moved
+        data["points"][name] = [x, y]
+    return json.dumps(data)
+
+
+class TestNoNonFiniteNumbers:
+    """A drawing either raises GeometryError or prints only finite numbers."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        triple=st.sampled_from([(20.0, 15.0, 25.0), (40.0, 10.0, 10.0), (2.0, 3.0, 55.0)]),
+        scale=st.floats(1e-300, 1e308),
+        dx=_far,
+        dy=_far,
+        radius=st.floats(1.0, 1e308),
+        moved=st.none() | st.tuples(st.sampled_from(POINT_NAMES), _far, _far),
+    )
+    @example(triple=(20.0, 15.0, 25.0), scale=1.0, dx=0.0, dy=0.0, radius=9e307, moved=None)
+    @example(triple=(20.0, 15.0, 25.0), scale=1.0, dx=0.0, dy=0.0, radius=1.0, moved=("I_a", 1e308, 0.0))
+    def test_parsed_documents(self, triple, scale, dx, dy, radius, moved):
+        try:
+            cfg = parse_config_document(_document(triple, scale, dx, dy, radius, moved))
+        except ValueError:
+            return
+        assert_drawn_finite_or_refused(cfg)
+
+    @settings(max_examples=150, deadline=None)
+    @given(corners=st.lists(st.tuples(_far, _far), min_size=6, max_size=6))
+    @example(corners=[(-1e308, 0.0), (-9e307, 0.0), (-1e308, 1e307), (1e308, 0.0), (9e307, 0.0), (1e308, 1e307)])
+    def test_scenes(self, corners):
+        try:
+            outer, morley = (Triangle(*(Point(x, y) for x, y in corners[i : i + 3])) for i in (0, 3))
+        except GeometryError:
+            return
+        assert_drawn_finite_or_refused(TrisectionScene(outer, morley))

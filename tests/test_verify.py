@@ -4,6 +4,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import morley.kernel
 import morley.verify
@@ -17,7 +19,6 @@ from morley.verify import (
     CheckReport,
     VerificationSummary,
     _sample_triples,
-    check,
     check_angle_identities,
     check_equilateral_forward,
     check_isosceles_arcs,
@@ -34,6 +35,8 @@ from morley.verify import (
 
 THIRD = math.pi / 3.0
 
+_report_numbers = st.floats(allow_nan=True, allow_infinity=True) | st.integers(-(10**6), 10**6) | st.booleans()
+
 
 def named_config(a=20.0, b=15.0, c=25.0, side=1.0):
     return construct(equilateral_triangle(side), AngleTriple.from_degrees(a, b, c))
@@ -47,13 +50,26 @@ def by_name(summary, name):
 
 class TestCheckReport:
     def test_pass_and_fail(self):
-        good = check("x", 1.0, 1.0 + 1e-12, 1e-9)
+        good = CheckReport("x", 1.0, 1.0 + 1e-12, 1e-9)
         assert good.passed and good.abs_error == pytest.approx(1e-12, rel=1e-3)
-        bad = check("x", 1.0, 2.0, 1e-9)
+        bad = CheckReport("x", 1.0, 2.0, 1e-9)
         assert not bad.passed
 
+    def test_passed_is_not_a_field(self):
+        assert CheckReport.__slots__ == ("name", "measured", "expected", "tol", "mode")
+        assert "passed" not in repr(CheckReport("x", 0.0, 0.0, 1.0))
+
+    @given(measured=_report_numbers, expected=_report_numbers, tol=_report_numbers)
+    @example(measured=math.inf, expected=math.inf, tol=math.inf)
+    @example(measured=math.nan, expected=0.0, tol=math.inf)
+    @example(measured=3, expected=2.5, tol=1e-9)
+    @example(measured=True, expected=1, tol=0)
+    def test_passed_is_the_tolerance_rule(self, measured, expected, tol):
+        report = CheckReport("x", measured, expected, tol)
+        assert report.passed is (abs(measured - expected) <= tol)
+
     def test_summarize(self):
-        reports = [check("a", 0.0, 0.0, 1.0), check("b", 5.0, 0.0, 1.0)]
+        reports = [CheckReport("a", 0.0, 0.0, 1.0), CheckReport("b", 5.0, 0.0, 1.0)]
         summary = VerificationSummary(reports, seed=9, samples=3)
         assert not summary.all_pass
         assert summary.failures() == (reports[1],)
@@ -61,7 +77,7 @@ class TestCheckReport:
         assert summary.checks == tuple(reports)
 
     def test_all_pass_is_derived_from_checks(self):
-        passing, failing = check("a", 0.0, 0.0, 1.0), check("b", 5.0, 0.0, 1.0)
+        passing, failing = CheckReport("a", 0.0, 0.0, 1.0), CheckReport("b", 5.0, 0.0, 1.0)
         assert VerificationSummary.__slots__ == ("checks", "seed", "samples")
         assert VerificationSummary([passing]).all_pass is True
         assert VerificationSummary([passing, failing]).all_pass is False
@@ -435,18 +451,18 @@ def _reference_battery(samples, seed):
         rebuilt = construct(inner, angles)
         recovered = morley_triangle(rebuilt.outer)
         worst = max(u.distance_to(v) for u, v in zip(rebuilt.inner.vertices, recovered.vertices))
-        batch.append(check("roundtrip", worst / inner.scale(), 0.0, LENGTH_RTOL))
+        batch.append(CheckReport("roundtrip", worst / inner.scale(), 0.0, LENGTH_RTOL))
 
         triangle = random_triangle(rng)
-        batch.append(check("forward equilateral", side_spread(morley_triangle(triangle)), 0.0, LENGTH_RTOL))
+        batch.append(CheckReport("forward equilateral", side_spread(morley_triangle(triangle)), 0.0, LENGTH_RTOL))
         theta, scale, shift = random_similarity(rng)
         moved = apply_similarity(triangle, theta, scale, shift)
         direct = morley_triangle(moved)
         pushed = apply_similarity(morley_triangle(triangle), theta, scale, shift)
         worst = max(u.distance_to(v) for u, v in zip(direct.vertices, pushed.vertices))
-        batch.append(check("similarity", worst / moved.scale(), 0.0, LENGTH_RTOL))
+        batch.append(CheckReport("similarity", worst / moved.scale(), 0.0, LENGTH_RTOL))
         checks.extend(
-            CheckReport(prefix + r.name, r.measured, r.expected, r.tol, r.passed, r.mode) for r in batch
+            CheckReport(prefix + r.name, r.measured, r.expected, r.tol, r.mode) for r in batch
         )
     checks.extend(limit_sequence(inner).checks)
     return VerificationSummary(checks, seed, samples)
