@@ -18,7 +18,6 @@ from .kernel import (
     NearParallel,
     Point,
     Triangle,
-    require_finite,
     signed_angle,
 )
 
@@ -59,7 +58,6 @@ def _trisectors(v: Point, nxt: Point, turn: float) -> tuple[tuple[float, float],
     bx, by = nxt.x - v.x, nxt.y - v.y
     inv = 1.0 / math.hypot(bx, by)
     bx, by = bx * inv, by * inv
-    require_finite(bx, by)
     return _ray(v, bx, by, into * theta / 3.0), _ray(v, bx, by, into * 2.0 * theta / 3.0)
 
 
@@ -77,9 +75,7 @@ def _ray(v: Point, bx: float, by: float, angle: float) -> tuple[float, float]:
     dx, dy = (bx + vx) - vx, (by + vy) - vy
     rx, ry = vx + c * dx - s * dy - vx, vy + s * dx + c * dy - vy
     n = math.hypot(rx, ry)
-    ux, uy = rx / n, ry / n
-    require_finite(ux, uy)
-    return ux, uy
+    return rx / n, ry / n
 
 
 def _meet(o1: Point, d1: tuple[float, float], o2: Point, d2: tuple[float, float], scale: float) -> Point:

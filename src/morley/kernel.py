@@ -8,6 +8,11 @@ cross and dot products those tests and the angle measures rest on, and
 those of the verification battery, all come from one function,
 ``cross_dot``, which takes them after an exact power-of-two prescale.
 
+Overflow is refused by three rules: ``Point`` refuses a non-finite
+coordinate, ``cross_dot`` refuses an extent past the largest float, and
+each predicate measures through ``cross_dot`` before it compares
+anything against its extent, so no verdict rests on an overflowed one.
+
 Every value type of the package (``Point``, ``Line``, ``Circle`` and
 ``Triangle`` here, and the configuration, report and scene types of the
 other modules) derives from ``Record``: an immutable, slotted value
@@ -65,23 +70,6 @@ _isfinite = math.isfinite
 _set_field = object.__setattr__
 
 
-def _non_finite(x: float, y: float) -> GeometryError:
-    return GeometryError(f"non-finite coordinates ({x}, {y})")
-
-
-def require_finite(x: float, y: float) -> None:
-    """Raise what Point(x, y) raises for a non-finite coordinate.
-
-    Code that keeps an intermediate vector in float locals, rather than
-    building a Point for it, checks it here so that it fails exactly as
-    the Point arithmetic would.  A unit vector times a float needs no
-    check before it is added to a finite point: it is finite, or
-    non-finite in both coordinates, and the sum keeps those.
-    """
-    if not (_isfinite(x) and _isfinite(y)):
-        raise _non_finite(x, y)
-
-
 class Record:
     """An immutable value whose fields are the subclass's ``__slots__``,
     typed by its ``__init__``, which sets each with ``_set_field``.
@@ -129,7 +117,7 @@ class Point(Record):
 
     def __init__(self, x: float, y: float) -> None:
         if not (_isfinite(x) and _isfinite(y)):
-            raise _non_finite(x, y)
+            raise GeometryError(f"non-finite coordinates ({x}, {y})")
         # Canonicalize ints and numpy scalars so equal points print
         # identically everywhere.
         _set_field(self, "x", float(x))
@@ -153,8 +141,12 @@ def cross_dot(ux: float, uy: float, vx: float, vy: float, extent: float) -> tupl
 
     Multiplying by k is exact, so the products are the unscaled ones times
     k*k.  With ``extent`` of the order of the longer vector's length they
-    stay finite at any input scale.
+    stay finite at any input scale.  An ``extent`` that is not finite
+    raises GeometryError: the points measured span more than the largest
+    float.
     """
+    if not _isfinite(extent):
+        raise GeometryError("the points span more than the largest float")
     # Capped so that the factor itself stays finite for a subnormal extent;
     # min() in place of the conditional costs a third of this function.
     shift = -math.frexp(extent)[1]
@@ -246,9 +238,7 @@ def intersect_lines(l1: Line, l2: Line) -> Point:
     """
     p1, p2 = l1.p, l2.p
     ux, uy = l1.q.x - p1.x, l1.q.y - p1.y
-    require_finite(ux, uy)
     vx, vy = l2.q.x - p2.x, l2.q.y - p2.y
-    require_finite(vx, vy)
     n1, n2 = math.hypot(ux, uy), math.hypot(vx, vy)
     extent = max(n1, n2)
     denom, _, k = cross_dot(ux, uy, vx, vy, extent)
@@ -260,9 +250,7 @@ def intersect_lines(l1: Line, l2: Line) -> Point:
             f"|sin| of their angle {sine:.3e} <= EPS_PARALLEL {EPS_PARALLEL:g}"
         )
     t = cross_dot(p2.x - p1.x, p2.y - p1.y, vx, vy, extent)[0] / denom
-    step_x, step_y = ux * t, uy * t
-    require_finite(step_x, step_y)
-    return Point(p1.x + step_x, p1.y + step_y)
+    return Point(p1.x + ux * t, p1.y + uy * t)
 
 
 def rotate_about(p: Point, center: Point, theta: float) -> Point:
@@ -271,7 +259,6 @@ def rotate_about(p: Point, center: Point, theta: float) -> Point:
     s = math.sin(theta)
     cx, cy = center.x, center.y
     dx, dy = p.x - cx, p.y - cy
-    require_finite(dx, dy)
     return Point(cx + c * dx - s * dy, cy + s * dx + c * dy)
 
 
@@ -283,12 +270,12 @@ def _ray_products(vertex: Point, p: Point, q: Point) -> tuple[float, float]:
     to_p = vertex.distance_to(p)
     to_q = vertex.distance_to(q)
     scale = max(to_p, to_q, p.distance_to(q))
+    cross, dot, _ = cross_dot(p.x - vertex.x, p.y - vertex.y, q.x - vertex.x, q.y - vertex.y, scale)
     if scale == 0.0:
         raise DegenerateRay("all three points coincide")
     for target, length in ((p, to_p), (q, to_q)):
         if length <= EPS_LENGTH * scale:
             raise DegenerateRay(f"point {target} coincides with vertex {vertex}")
-    cross, dot, _ = cross_dot(p.x - vertex.x, p.y - vertex.y, q.x - vertex.x, q.y - vertex.y, scale)
     return cross, dot
 
 
@@ -322,12 +309,11 @@ def chord_arc_circle(p: Point, q: Point, half_central: float, far_point: Point) 
             f"half central angle must lie in (0, pi/2), got {half_central}"
         )
     chord_x, chord_y = q.x - p.x, q.y - p.y
-    require_finite(chord_x, chord_y)
     length = math.hypot(chord_x, chord_y)
+    side = orientation(p, q, far_point)
     scale = max(length, p.distance_to(far_point), q.distance_to(far_point))
     if length <= EPS_LENGTH * scale:
         raise DegenerateChord(f"chord endpoints {p} and {q} coincide")
-    side = orientation(p, q, far_point)
     if side == 0:
         raise FarPointOnLine(f"far point {far_point} lies on the chord line")
     radius = length / (2.0 * math.sin(half_central))

@@ -122,7 +122,10 @@ def _label_positions(points: dict[str, _XY], offset: float) -> dict[str, _XY]:
     """Each point pushed ``offset`` away from the centroid of all of them
     (straight up for a point that sits on the centroid)."""
     n = len(points)
-    cx, cy = sum(x for x, _ in points.values()) / n, sum(y for _, y in points.values()) / n
+    # A coordinate whose sum passes the largest float is summed again at the
+    # power of two k <= 1/n, where it cannot; scaling by k is exact.
+    k = 0.5 ** n.bit_length()
+    cx, cy = (t / n if _isfinite(t := sum(vs)) else sum(v * k for v in vs) / n / k for vs in zip(*points.values()))
     out = {}
     for name, (x, y) in points.items():
         dx, dy = x - cx, y - cy

@@ -48,7 +48,6 @@ from .kernel import (
     angle_at,
     cross_dot,
     orientation,
-    require_finite,
     signed_angle,
 )
 
@@ -124,9 +123,7 @@ def polygon_interior_angles(points: Sequence[Point]) -> list[float]:
     for i in range(n):
         prev, here, succ = points[i - 1], points[i], points[(i + 1) % n]
         ux, uy = here.x - prev.x, here.y - prev.y
-        require_finite(ux, uy)
         vx, vy = succ.x - here.x, succ.y - here.y
-        require_finite(vx, vy)
         cross, dot, _ = cross_dot(ux, uy, vx, vy, max(abs(ux), abs(uy), abs(vx), abs(vy)))
         turns.append(math.atan2(cross, dot))
     winding = 1.0 if sum(turns) > 0.0 else -1.0

@@ -152,6 +152,15 @@ def cases(documents: dict[str, str]) -> list[dict[str, object]]:
     for scale in ("1e-300", "1e-100", "1e8", "1e100", "1e300"):
         s = float(scale)
         add(f"forward/scale={scale}", "forward", "--p1", "0,0", "--p2", f"{4 * s!r},0", "--p3", f"0,{3 * s!r}", *OUT)
+    # Triangles whose points span more than the largest float, though each coordinate is finite.
+    add("forward/wider-than-float", "forward", "--p1=-1.5e308,0", "--p2=1.5e308,0", "--p3=0,1e308")
+    add(
+        "forward/wider-than-float-skewed",
+        "forward",
+        "--p1=1.3630831861807834e308,-6.77653168869978e216",
+        "--p2=-9.033894167731703e307,3.4687698379391106e304",
+        "--p3=2.1012625356640103e300,3.9676929172371186e307",
+    )
 
     add("verify", "verify", "--samples", "3", "--json", "{dir}/out.json")
     add("verify/seed=0", "verify", "--samples", "2", "--seed", "0")

@@ -400,3 +400,57 @@ class TestTriangle:
 
     def test_midpoint(self):
         assert midpoint(Point(0.0, 0.0), Point(2.0, 4.0)) == Point(1.0, 2.0)
+
+
+LARGEST = 1.7976931348623157e308
+wide_coord = st.floats(min_value=-LARGEST, max_value=LARGEST)
+
+
+class TestWiderThanTheLargestFloat:
+    """Points that span more than the largest float are refused with a
+    plain GeometryError where they are measured: no verdict is read from
+    an extent that has overflowed."""
+
+    @pytest.mark.parametrize(
+        "corners",
+        [
+            # The three vertices' own differences overflow.
+            [(-1.5e308, 0.0), (1.5e308, 0.0), (0.0, 1e308)],
+            # Accepted on an orientation read from a nan cross product.
+            [
+                (1.3630831861807834e308, -6.77653168869978e216),
+                (-9.033894167731703e307, 3.4687698379391106e304),
+                (2.1012625356640103e300, 3.9676929172371186e307),
+            ],
+        ],
+    )
+    def test_triangle_is_refused(self, corners):
+        with pytest.raises(GeometryError, match="span more than the largest float") as info:
+            Triangle(*(Point(x, y) for x, y in corners))
+        assert type(info.value) is GeometryError
+
+    def test_cross_dot_refuses_an_infinite_extent(self):
+        with pytest.raises(GeometryError, match="span more than the largest float"):
+            cross_dot(1.0, 0.0, 0.0, 1.0, math.inf)
+
+    @settings(max_examples=300, deadline=None)
+    @given(wide_coord, wide_coord, wide_coord, wide_coord, wide_coord, wide_coord)
+    @example(-1.5e308, 0.0, 1.5e308, 0.0, 0.0, 1e308)
+    @example(LARGEST, LARGEST, -LARGEST, -LARGEST, 0.0, 0.0)
+    def test_no_predicate_judges_an_overflowed_extent(self, px, py, qx, qy, rx, ry):
+        p, q, r = Point(px, py), Point(qx, qy), Point(rx, ry)
+        overflowed = max(p.distance_to(q), q.distance_to(r), r.distance_to(p)) == math.inf
+        measures = {
+            "Triangle": Triangle,
+            "orientation": orientation,
+            "angle_at": angle_at,
+            "signed_angle": signed_angle,
+            "chord_arc_circle": lambda p, q, r: chord_arc_circle(p, q, 0.5, r),
+        }
+        for name, measure in measures.items():
+            try:
+                measure(p, q, r)
+            except GeometryError as exc:
+                assert type(exc) is GeometryError or not overflowed, (name, exc)
+            else:
+                assert not overflowed, name

@@ -351,3 +351,30 @@ class TestNoNonFiniteNumbers:
         except GeometryError:
             return
         assert_drawn_finite_or_refused(TrisectionScene(outer, morley))
+
+
+class TestPastTheLargestFloat:
+    def test_document_wider_than_the_largest_float_is_refused(self):
+        # Side AB is 1.95e308 long, though no coordinate difference overflows.
+        with pytest.raises(GeometryError, match="span more than the largest float") as info:
+            parse_config_document(_document((20.0, 15.0, 25.0), 3e307, 0.0, 0.0, 1.0, None))
+        assert type(info.value) is GeometryError
+
+    def test_labels_keep_the_plain_mean_where_the_sums_are_finite(self):
+        # Averaging x / n in place of sum(x) / n would print x="0.152479421".
+        svg = render_svg(construct(equilateral_triangle(), AngleTriple.from_degrees(0.001, 0.001, 59.998)))
+        assert (
+            '<text class="label" x="0.152479422" y="-4332.44565" font-size="7018.7633"'
+            ' fill="#30323d" text-anchor="middle">A\'</text>'
+        ) in svg.splitlines()
+
+    def test_labels_of_a_scene_whose_coordinates_sum_past_it(self):
+        # Every point lies near x = -1e308, so the twelve x coordinates sum past the largest float.
+        cfg = parse_config_document(_document((20.0, 15.0, 25.0), 1e307, -1e308, 0.0, 1.0, None))
+        svg = render_svg(cfg)
+        assert not NON_FINITE.search(svg)
+        reference = reference_config()
+        want = label_offsets(render_svg(reference), list(reference.named_points().values()), 1.0)
+        got = label_offsets(svg, list(cfg.named_points().values()), 1e307)
+        for got_xy, want_xy in zip(got, want):
+            assert got_xy == pytest.approx(want_xy, abs=1e-6)
