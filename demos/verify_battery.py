@@ -18,13 +18,14 @@ summary = run_battery(samples=100, seed=42)
 print(f"checks run: {len(summary.checks)}")
 print(f"all pass:   {summary.all_pass}")
 
-# 2. The sharpest margins: the ten checks with the largest absolute error.
-ranked = sorted(summary.checks, key=lambda r: r.abs_error, reverse=True)
-print("largest errors:")
-for entry in ranked[:10]:
-    print(f"  {entry.abs_error:.3e}  (tol {entry.tol:g})  {entry.name}")
+# 2. The margins: each check family's worst error against its tolerance,
+#    and the sample that produced it.
+print("worst error per family:")
+for family, count, failed, worst in summary.families():
+    print(f"  {worst.abs_error:.3e} of tol {worst.tol:g}  {count:4d} checks, {failed} failed  {worst.name}")
 
-# 3. Persist the full report.
+# 3. Persist the report: the same families, plus every failing check.
+#    summary_document(summary, full=True) would write all of the checks.
 with open("battery.json", "w", encoding="utf-8") as handle:
     handle.write(summary_document(summary))
 print("wrote battery.json")

@@ -6,10 +6,13 @@ identical double.  Every document fills ``%s`` slots in fixed text: with
 ``indent`` set the stdlib encoder runs in pure Python, the costliest step
 of a large battery and of a single figure.  The encoder only lays out
 the configuration and forward templates, once at import; the report
-repeats a fixed record.  Strings go through the encoder's own
-``encode_basestring_ascii`` and numbers through its rule, so each
-document is byte for byte what ``json.JSONEncoder(indent=2)`` gives;
-tests/test_document.py pins that against the encoder.
+repeats a fixed record.  The verification report comes in two forms:
+by default each check family's counts and worst check, and every
+failing check; with ``full=True`` every check.  Strings go through the
+encoder's own ``encode_basestring_ascii`` and numbers through its
+rule, so each document is byte for byte what
+``json.JSONEncoder(indent=2)`` gives; tests/test_document.py pins that
+against the encoder.
 parse_config_document inverts config_document exactly.
 """
 
@@ -18,6 +21,7 @@ from __future__ import annotations
 import io
 import json
 import math
+from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
 
 from .forward import side_spread
@@ -33,7 +37,7 @@ from .inverse import (
     _side_lines,
 )
 from .kernel import Circle, Point, Triangle
-from .verify import VerificationSummary
+from .verify import CheckReport, VerificationSummary
 
 
 # Stands for a value in a skeleton document; no key or label contains it.
@@ -119,7 +123,7 @@ def _oversized_int(value: object, path: str) -> str | None:
 
 
 # One check of the report, laid out as json.JSONEncoder(indent=2) lays
-# out an element of the "checks" list.
+# out an element of the "checks" or "failures" list.
 _CHECK_RECORD = (
     "    {\n"
     '      "name": %s,\n'
@@ -129,6 +133,17 @@ _CHECK_RECORD = (
     '      "abs_error": %s,\n'
     '      "tol": %s,\n'
     '      "pass": %s\n'
+    "    }"
+)
+
+# An element of the "families" list: its name, count and failed count,
+# then its worst check, the same record one level deeper.
+_FAMILY_RECORD = (
+    "    {\n"
+    '      "family": %s,\n'
+    '      "count": %s,\n'
+    '      "failed": %s,\n'
+    '      "worst": ' + _CHECK_RECORD.replace("\n", "\n  ").lstrip() + "\n"
     "    }"
 )
 
@@ -160,34 +175,67 @@ def _number(value: object) -> str:
     raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 
-def summary_document(summary: VerificationSummary) -> str:
-    """Serialize a verification run, one entry per check."""
-    out = io.StringIO()
-    out.write(
-        '{\n  "seed": %s,\n  "samples": %s,\n  "all_pass": %s,\n  "checks": '
-        % (_number(summary.seed), _number(summary.samples), "true" if summary.all_pass else "false")
+def _record_values(report: CheckReport) -> tuple[str, ...]:
+    """The slots of _CHECK_RECORD for ``report``."""
+    return (
+        encode_basestring_ascii(report.name),
+        encode_basestring_ascii(report.mode),
+        _number(report.measured),
+        _number(report.expected),
+        _number(report.abs_error),
+        _number(report.tol),
+        "true" if report.passed else "false",
     )
-    records = (
-        _CHECK_RECORD
-        % (
-            encode_basestring_ascii(report.name),
-            encode_basestring_ascii(report.mode),
-            _number(report.measured),
-            _number(report.expected),
-            _number(report.abs_error),
-            _number(report.tol),
-            "true" if report.passed else "false",
-        )
-        for report in summary.checks
-    )
-    first = next(records, None)
+
+
+def _write_list(out: io.StringIO, elements: Iterator[str]) -> None:
+    """Write a list of the report's top level, each element already laid out."""
+    first = next(elements, None)
     if first is None:
-        out.write("[]\n}\n")
+        out.write("[]")
     else:
         out.write("[\n")
         out.write(first)
-        out.writelines(map(",\n".__add__, records))
-        out.write("\n  ]\n}\n")
+        out.writelines(map(",\n".__add__, elements))
+        out.write("\n  ]")
+
+
+def summary_document(summary: VerificationSummary, *, full: bool = False) -> str:
+    """Serialize a verification run.
+
+    By default the report holds the check and failure counts, one entry
+    per check family (``VerificationSummary.families``) with its count,
+    failed count and worst check, and every failing check.  With
+    ``full`` it holds every check instead.
+    """
+    if full:
+        all_pass = summary.all_pass
+    else:
+        families = summary.families()
+        failed = sum(entry[2] for entry in families)
+        all_pass = not failed
+    out = io.StringIO()
+    out.write(
+        '{\n  "seed": %s,\n  "samples": %s,\n  "all_pass": %s,\n'
+        % (_number(summary.seed), _number(summary.samples), "true" if all_pass else "false")
+    )
+    if full:
+        out.write('  "checks": ')
+        _write_list(out, (_CHECK_RECORD % _record_values(report) for report in summary.checks))
+    else:
+        out.write('  "count": %s,\n  "failed": %s,\n  "families": ' % (len(summary.checks), failed))
+        _write_list(
+            out,
+            (
+                _FAMILY_RECORD % (encode_basestring_ascii(family), count, family_failed, *_record_values(worst))
+                for family, count, family_failed, worst in families
+            ),
+        )
+        # The families' counts say whether there is a failure to look for.
+        failures = summary.failures() if failed else ()
+        out.write(',\n  "failures": ')
+        _write_list(out, (_CHECK_RECORD % _record_values(report) for report in failures))
+    out.write("\n}\n")
     return out.getvalue()
 
 

@@ -130,7 +130,7 @@ def _label_positions(points: dict[str, _XY], offset: float) -> dict[str, _XY]:
     for name, (x, y) in points.items():
         dx, dy = x - cx, y - cy
         norm = math.hypot(dx, dy)
-        ux, uy = (0.0, 1.0) if norm <= 1e-12 * offset else (dx * (1.0 / norm), dy * (1.0 / norm))
+        ux, uy = (0.0, 1.0) if norm <= 1e-12 * offset else (dx / norm, dy / norm)
         out[name] = x + ux * offset, y + uy * offset
     return out
 
@@ -141,7 +141,7 @@ def _carrier_segment(p: _XY, q: _XY, through: list[_XY]) -> tuple[_XY, _XY]:
     (px, py), (qx, qy) = p, q
     dx, dy = qx - px, qy - py
     length = math.hypot(dx, dy)
-    ux, uy = dx * (1.0 / length), dy * (1.0 / length)
+    ux, uy = dx / length, dy / length
     ts = [0.0, length] + [ux * (rx - px) + uy * (ry - py) for rx, ry in through]
     lo, hi = min(ts), max(ts)
     span = hi - lo

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from collections.abc import Iterable, Sequence
 
 from .forward import apply_similarity, morley_triangle, side_spread
@@ -68,6 +69,9 @@ LIMIT_DEFAULT_VALUES = (1e-3, 1e-4, 1e-5)
 # Sampled triples keep every angle at least one degree away from zero.
 MIN_SAMPLE_ANGLE = math.radians(1.0)
 
+# A leading sample prefix, as run_battery puts on each check's name.
+_SAMPLE_PREFIX = re.compile(r"s[0-9]+/")
+
 
 class CheckReport(Record):
     """One named measurement; it passes when within ``tol`` of its expected value."""
@@ -106,6 +110,32 @@ class VerificationSummary(Record):
 
     def failures(self) -> tuple[CheckReport, ...]:
         return tuple(c for c in self.checks if not c.passed)
+
+    def families(self) -> tuple[tuple[str, int, int, CheckReport], ...]:
+        """``(family, count, failed, worst)`` for each check family, in
+        order of first appearance.
+
+        A check's family is its name less a leading ``s<digits>/`` sample
+        prefix; any other name is its own family.  ``worst`` is the check
+        with the largest ``abs_error``, a failing check outranking every
+        passing one and, among failing ones, a NaN error the largest; a
+        tie goes to the first in report order.
+        """
+        # family -> [count, failed, worst, its rank]; a larger rank is worse.
+        seen: dict[str, list] = {}
+        for report in self.checks:
+            name = report.name
+            prefix = _SAMPLE_PREFIX.match(name)
+            family = name[prefix.end():] if prefix else name
+            error = report.abs_error
+            failed = not report.passed
+            rank = (failed, error != error, error)
+            entry = seen.setdefault(family, [0, 0, report, rank])
+            entry[0] += 1
+            entry[1] += failed
+            if rank > entry[3]:
+                entry[2:] = report, rank
+        return tuple((family, count, failed, worst) for family, (count, failed, worst, _) in seen.items())
 
 
 def polygon_interior_angles(points: Sequence[Point]) -> list[float]:

@@ -136,7 +136,7 @@ def cases(documents: dict[str, str]) -> list[dict[str, object]]:
     add("construct/unwritable", "construct", *ANGLES, "--json", MISSING)
     for side in ("0", "-1", "nan", "inf", "x"):
         add(f"construct/side={side}", "construct", *ANGLES, "--side", side)
-    for side in ("1e-300", "1e-200", "1e-100", "1e100", "1e200", "1e300", "1e308"):
+    for side in ("1e-310", "1e-300", "1e-200", "1e-100", "1e100", "1e200", "1e300", "1e308"):
         add(f"construct/side={side}", "construct", *ANGLES, "--side", side, *OUT)
 
     add("forward", "forward", *RIGHT)
@@ -163,6 +163,8 @@ def cases(documents: dict[str, str]) -> list[dict[str, object]]:
     )
 
     add("verify", "verify", "--samples", "3", "--json", "{dir}/out.json")
+    add("verify/full", "verify", "--samples", "3", "--full", "--json", "{dir}/out.json")
+    add("verify/full-without-json", "verify", "--samples", "3", "--full")
     add("verify/seed=0", "verify", "--samples", "2", "--seed", "0")
     add("verify/huge-seed", "verify", "--samples", "2", "--seed", str(2**70))
     add("verify/loose-tol", "verify", "--samples", "2", "--tol", "1e-3")
@@ -190,7 +192,7 @@ def cases(documents: dict[str, str]) -> list[dict[str, object]]:
     add("render/missing-document", "render", "--json", "{dir}/nope.json", *svg)
     add("render/unwritable", "render", *ANGLES, "--svg", MISSING)
     add("render/30-degrees", "render", "--a", "30", "--b", "20", "--c", "10", *svg)
-    for side in ("1e-300", "1e300"):
+    for side in ("1e-310", "1e-300", "1e300"):
         add(f"render/side={side}", "render", *ANGLES, "--side", side, *svg)
     document = ["--json", "{dir}/doc.json"]
     add("render/document-and-angles", "render", *document, *ANGLES, *svg, inputs={"doc.json": "good"})

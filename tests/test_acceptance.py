@@ -164,8 +164,8 @@ def test_criterion_6_limit():
 
 
 def test_criterion_7_determinism():
-    battery_one = summary_document(run_battery(samples=50, seed=SWEEP_SEED))
-    battery_two = summary_document(run_battery(samples=50, seed=SWEEP_SEED))
+    battery_one = summary_document(run_battery(samples=50, seed=SWEEP_SEED), full=True)
+    battery_two = summary_document(run_battery(samples=50, seed=SWEEP_SEED), full=True)
     cfg_one = construct(equilateral_triangle(), AngleTriple.from_degrees(20.0, 15.0, 25.0))
     cfg_two = construct(equilateral_triangle(), AngleTriple.from_degrees(20.0, 15.0, 25.0))
     svg_one = render_svg(cfg_one)

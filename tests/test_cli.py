@@ -97,13 +97,27 @@ class TestForwardCommand:
 class TestVerifyCommand:
     def test_default_battery_passes(self, capsys, tmp_path):
         json_path = tmp_path / "report.json"
-        rc = main(["verify", "--samples", "20", "--seed", "7", "--json", str(json_path)])
+        rc = main(["verify", "--samples", "20", "--seed", "7", "--full", "--json", str(json_path)])
         assert rc == 0
         out = capsys.readouterr().out
         assert "failed: 0" in out and "seed: 7" in out
         data = json.loads(json_path.read_text())
         assert data["all_pass"] is True
         assert len(data["checks"]) == 20 * 24 + 10
+
+    def test_default_report_is_by_family(self, capsys, tmp_path):
+        json_path = tmp_path / "report.json"
+        assert main(["verify", "--samples", "20", "--seed", "7", "--json", str(json_path)]) == 0
+        data = json.loads(json_path.read_text())
+        assert "checks" not in data
+        assert (data["all_pass"], data["count"], data["failed"], data["failures"]) == (True, 20 * 24 + 10, 0, [])
+        # 24 families with a check per sample, then the 10 limit checks.
+        assert [family["count"] for family in data["families"]] == [20] * 24 + [1] * 10
+
+    def test_full_needs_json(self, capsys):
+        assert main(["verify", "--samples", "1", "--full"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: --full needs --json\n")
 
     def test_reports_are_byte_identical(self, tmp_path):
         first = tmp_path / "one.json"
@@ -123,7 +137,7 @@ class TestVerifyCommand:
     )
     def test_tol_reaches_angle_and_length_checks(self, capsys, tmp_path, flags, angle_tol, length_rtol):
         json_path = tmp_path / "report.json"
-        main(["verify", "--samples", "2", *flags, "--json", str(json_path)])
+        main(["verify", "--samples", "2", *flags, "--full", "--json", str(json_path)])
         tols = {c["name"]: c["tol"] for c in json.loads(json_path.read_text())["checks"]}
         for index in range(2):
             prefix = f"s{index:04d}/"

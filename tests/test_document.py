@@ -77,7 +77,7 @@ class TestConfigDocument:
 class TestSummaryDocument:
     def test_shape_and_fields(self):
         summary = run_battery(samples=2, seed=3)
-        data = json.loads(summary_document(summary))
+        data = json.loads(summary_document(summary, full=True))
         assert data["seed"] == 3
         assert data["samples"] == 2
         assert data["all_pass"] is True
@@ -88,8 +88,8 @@ class TestSummaryDocument:
         assert first["abs_error"] == abs(first["measured"] - first["expected"])
 
     def test_deterministic(self):
-        one = summary_document(run_battery(samples=2, seed=3))
-        two = summary_document(run_battery(samples=2, seed=3))
+        one = summary_document(run_battery(samples=2, seed=3), full=True)
+        two = summary_document(run_battery(samples=2, seed=3), full=True)
         assert one == two
 
 
@@ -100,29 +100,85 @@ class _OwnReprFloat(float):
         return "OwnReprFloat()"
 
 
+def _record(report):
+    return {
+        "name": report.name,
+        "mode": report.mode,
+        "measured": report.measured,
+        "expected": report.expected,
+        "abs_error": report.abs_error,
+        "tol": report.tol,
+        "pass": report.passed,
+    }
+
+
 def _encoder_summary(summary):
-    """The report as the stdlib encoder writes it: the emitter's oracle."""
+    """The full report as the stdlib encoder writes it: the emitter's oracle."""
     doc = {
         "seed": summary.seed,
         "samples": summary.samples,
         "all_pass": summary.all_pass,
-        "checks": [
-            {
-                "name": report.name,
-                "mode": report.mode,
-                "measured": report.measured,
-                "expected": report.expected,
-                "abs_error": report.abs_error,
-                "tol": report.tol,
-                "pass": report.passed,
-            }
-            for report in summary.checks
-        ],
+        "checks": [_record(report) for report in summary.checks],
+    }
+    return "".join(json.JSONEncoder(indent=2).iterencode(doc)) + "\n"
+
+
+def _family(name):
+    """The name less a leading "s", one or more of 0-9, and "/"."""
+    head, slash, rest = name.partition("/")
+    sampled = slash and len(head) > 1 and head[0] == "s" and all(ch in "0123456789" for ch in head[1:])
+    return rest if sampled else name
+
+
+def _outranks(new, old):
+    """Whether ``new`` is a worse check than ``old``: failing before
+    passing, then NaN before any number, then the larger error."""
+    if new.passed != old.passed:
+        return old.passed
+    new_nan, old_nan = math.isnan(new.abs_error), math.isnan(old.abs_error)
+    if new_nan or old_nan:
+        return not old_nan
+    return new.abs_error > old.abs_error
+
+
+def _encoder_compact(summary):
+    """The default report as the stdlib encoder writes it, its families
+    grouped here: the oracle of summary_document and families()."""
+    families = {}
+    for report in summary.checks:
+        name = _family(report.name)
+        if name not in families:
+            families[name] = {"family": name, "count": 0, "failed": 0, "worst": report}
+        entry = families[name]
+        entry["count"] += 1
+        if not report.passed:
+            entry["failed"] += 1
+        if _outranks(report, entry["worst"]):
+            entry["worst"] = report
+    for entry in families.values():
+        entry["worst"] = _record(entry["worst"])
+    failures = [_record(report) for report in summary.checks if not report.passed]
+    doc = {
+        "seed": summary.seed,
+        "samples": summary.samples,
+        "all_pass": summary.all_pass,
+        "count": len(summary.checks),
+        "failed": len(failures),
+        "families": list(families.values()),
+        "failures": failures,
     }
     return "".join(json.JSONEncoder(indent=2).iterencode(doc)) + "\n"
 
 
 _names = st.text(st.characters(exclude_categories=()), max_size=12)
+# Names that share families: a sample prefix, maybe malformed, on a few
+# check names, some of which look like a prefix themselves.
+_sampled_names = st.builds(
+    "{}{}/{}".format,
+    st.sampled_from(["s", "S", "s0", "s12", "s0042", "s1x", "s\u0661", "s/"]),
+    st.sampled_from(["", "7"]),
+    st.sampled_from(["roundtrip", "s3/similarity", "", "x/y"]) | _names,
+)
 _numbers = st.one_of(
     st.floats(),
     st.floats().map(_OwnReprFloat),
@@ -131,7 +187,7 @@ _numbers = st.one_of(
 )
 _reports = st.builds(
     CheckReport,
-    name=_names,
+    name=_names | _sampled_names,
     measured=_numbers,
     expected=_numbers,
     tol=_numbers,
@@ -160,9 +216,30 @@ class TestSummaryMatchesStdlibEncoder:
         seed=0,
         samples=1,
     )
+    # Family x: a failing check outranks a larger passing error.  y: a NaN
+    # outranks inf, and the first of two NaNs stays.  z: a tie keeps the
+    # first.  "s/x", "s\u0661/x" and "s01/s2/x" are not in family x.
+    @example(
+        reports=[
+            CheckReport("s0/x", 1.0, 0.0, 2.0),
+            CheckReport("s1/x", 0.5, 0.0, 0.1),
+            CheckReport("x", 0.2, 0.0, 0.1),
+            CheckReport("s0/y", math.inf, 0.0, 1.0),
+            CheckReport("s1/y", math.nan, 0.0, 1.0),
+            CheckReport("s2/y", math.nan, 0.0, 1.0, "signed"),
+            CheckReport("s0/z", 0.25, 0.0, 1.0),
+            CheckReport("s1/z", 0.25, 0.0, 1.0, "signed"),
+            CheckReport("s/x", 9.0, 0.0, 1.0),
+            CheckReport("s\u0661/x", 9.0, 0.0, 1.0),
+            CheckReport("s01/s2/x", 9.0, 0.0, 1.0),
+        ],
+        seed=1,
+        samples=3,
+    )
     def test_bytes_equal_the_encoder(self, reports, seed, samples):
         summary = VerificationSummary(reports, seed, samples)
-        assert summary_document(summary) == _encoder_summary(summary)
+        assert summary_document(summary, full=True) == _encoder_summary(summary)
+        assert summary_document(summary) == _encoder_compact(summary)
 
 
 def _encode(doc):
@@ -294,13 +371,22 @@ def right_triangle(scale):
     return Triangle(Point(0.0, 0.0), Point(4.0 * scale, 0.0), Point(0.0, 3.0 * scale))
 
 
+@pytest.fixture(scope="module")
+def battery():
+    return run_battery(1000, 42)
+
+
 class TestGoldenBytes:
     """Documents are part of the byte contract: these digests change only
     with a deliberate change to the emitted bytes."""
 
-    def test_battery_report(self):
+    def test_battery_report(self, battery):
         digest = "6d0e9ebff42f83d840711165410fd6d3ff426f9f481837e3f17e36fb61a62e44"
-        assert sha256(summary_document(run_battery(1000, 42))) == digest
+        assert sha256(summary_document(battery, full=True)) == digest
+
+    def test_battery_compact_report(self, battery):
+        digest = "3fac49b176615badf33cf0834470142a6715208aaea3801170d14534d11981c7"
+        assert sha256(summary_document(battery)) == digest
 
     @pytest.mark.parametrize(
         "side, digest",

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from morley.forward import morley_triangle
 from morley.inverse import (
@@ -322,3 +324,39 @@ class TestConstructSweep:
         cfg = construct(Triangle(p, q, r), AngleTriple.from_degrees(12.0, 31.0, 17.0))
         assert cfg.inner == Triangle(p, q, r)
         assert cfg.named_points()["A'"] is p
+
+
+def _figure(cfg):
+    """Every coordinate of the named points, then each circle's center
+    and radius."""
+    values = [v for p in cfg.named_points().values() for v in (p.x, p.y)]
+    for circle in cfg.circles:
+        values += (circle.center.x, circle.center.y, circle.radius)
+    return values
+
+
+class TestPowerOfTwoScaling:
+    """Scaling the inner side by 2**k is exact in floating point, so the
+    whole figure scales by exactly 2**k, and a triple refused at side 1
+    is refused with the same error at side 2**k."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=st.floats(MIN_ANGLE, THIRD), b=st.floats(MIN_ANGLE, THIRD), k=st.integers(-1000, 1000))
+    @example(a=math.pi / 6.0, b=math.radians(20.0), k=-1000)
+    @example(a=MIN_ANGLE, b=MIN_ANGLE, k=1000)
+    def test_construct(self, a, b, k):
+        try:
+            angles = AngleTriple(a, b, THIRD - a - b)
+        except InvalidAngles:
+            assume(False)
+        scaled = equilateral_triangle(math.ldexp(1.0, k))
+        try:
+            cfg = construct(equilateral_triangle(), angles)
+        except GeometryError as exc:
+            with pytest.raises(GeometryError) as info:
+                construct(scaled, angles)
+            assert (type(info.value), str(info.value)) == (type(exc), str(exc))
+            return
+        # Compared as hex, so that -0.0 and 0.0 differ.
+        want = [math.ldexp(v, k).hex() for v in _figure(cfg)]
+        assert [v.hex() for v in _figure(construct(scaled, angles))] == want

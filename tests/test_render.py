@@ -272,7 +272,8 @@ def label_offsets(svg, points, scale):
 
 
 class TestLabelsAtAnyScale:
-    @pytest.mark.parametrize("scale", [1e-20, 1e-100])
+    # At 1e-310 the inner side is subnormal, and 1 / side would overflow.
+    @pytest.mark.parametrize("scale", [1e-20, 1e-100, 1e-310])
     def test_configuration(self, scale):
         def offsets(side):
             cfg = reference_config(side)

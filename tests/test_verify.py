@@ -353,10 +353,20 @@ class TestBattery:
             assert sum(1 for n in names if n.startswith(prefix)) == 24
         assert len(set(names)) == len(names)
 
+    def test_families_strip_the_sample_prefix(self):
+        summary = run_battery(samples=3, seed=7)
+        families = summary.families()
+        assert sum(count for _, count, _, _ in families) == len(summary.checks)
+        for family, count, failed, worst in families[:24]:
+            assert (count, failed) == (3, 0)
+            assert worst.name[:6] in ("s0000/", "s0001/", "s0002/") and worst.name[6:] == family
+            assert worst.abs_error == max(r.abs_error for r in summary.checks if r.name[6:] == family)
+        assert [family for family, *_ in families[24:]] == [r.name for r in summary.checks[-10:]]
+
     def test_deterministic_report(self):
         one = run_battery(samples=10, seed=5)
         two = run_battery(samples=10, seed=5)
-        assert summary_document(one) == summary_document(two)
+        assert summary_document(one, full=True) == summary_document(two, full=True)
 
     def test_impossible_tolerance_reports_failures(self):
         summary = run_battery(samples=3, seed=7, tol=1e-17)
@@ -473,4 +483,4 @@ def test_battery_matches_reference_sweep(seed):
     summary = run_battery(samples=20, seed=seed)
     reference = _reference_battery(20, seed)
     assert summary.checks == reference.checks
-    assert summary_document(summary) == summary_document(reference)
+    assert summary_document(summary, full=True) == summary_document(reference, full=True)
