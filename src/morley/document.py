@@ -4,13 +4,13 @@ Emission is deterministic: fixed key order, two-space indentation and
 floats printed by ``repr``, the shortest text that parses back to the
 identical double.  Every document fills ``%s`` slots in fixed text: with
 ``indent`` set the stdlib encoder runs in pure Python, the costliest step
-of a large battery and of a single figure.  The encoder only lays out
-the configuration and forward templates, once at import; the report
-repeats a fixed record.  The verification report comes in two forms:
-by default each check family's counts and worst check, and every
-failing check; with ``full=True`` every check.  Strings go through the
-encoder's own ``encode_basestring_ascii`` and numbers through its
-rule, so each document is byte for byte what
+of a large battery and of a single figure.  So the encoder lays out
+every template once, at import: each document and each record of the
+report's lists; nothing is laid out by hand.  The verification report
+comes in two forms: by default each check family's counts and worst
+check, and every failing check; with ``full=True`` every check.
+Strings go through the encoder's own ``encode_basestring_ascii`` and
+numbers through its rule, so each document is byte for byte what
 ``json.JSONEncoder(indent=2)`` gives; tests/test_document.py pins that
 against the encoder.
 parse_config_document inverts config_document exactly.
@@ -18,10 +18,9 @@ parse_config_document inverts config_document exactly.
 
 from __future__ import annotations
 
-import io
 import json
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable
 from json.encoder import encode_basestring_ascii
 
 from .forward import side_spread
@@ -44,10 +43,16 @@ from .verify import CheckReport, VerificationSummary
 _SLOT = "\0"
 
 
-def _layout(skeleton: dict[str, object]) -> str:
+def _layout(skeleton: object) -> str:
     """What json.JSONEncoder(indent=2) writes for skeleton, with a %s slot for each _SLOT."""
     text = json.JSONEncoder(indent=2).encode(skeleton)
     return text.replace("%", "%%").replace(encode_basestring_ascii(_SLOT), "%s") + "\n"
+
+
+def _element(skeleton: dict[str, object]) -> str:
+    """The _layout of skeleton as an element of a list under a top-level key:
+    the lines of [[skeleton]] less the two lists' brackets."""
+    return "\n".join(_layout([[skeleton]]).splitlines()[2:-2])
 
 
 # Slots: the angles, x and y of each point, then each arc's center and radius.
@@ -122,32 +127,6 @@ def _oversized_int(value: object, path: str) -> str | None:
     return None
 
 
-# One check of the report, laid out as json.JSONEncoder(indent=2) lays
-# out an element of the "checks" or "failures" list.
-_CHECK_RECORD = (
-    "    {\n"
-    '      "name": %s,\n'
-    '      "mode": %s,\n'
-    '      "measured": %s,\n'
-    '      "expected": %s,\n'
-    '      "abs_error": %s,\n'
-    '      "tol": %s,\n'
-    '      "pass": %s\n'
-    "    }"
-)
-
-# An element of the "families" list: its name, count and failed count,
-# then its worst check, the same record one level deeper.
-_FAMILY_RECORD = (
-    "    {\n"
-    '      "family": %s,\n'
-    '      "count": %s,\n'
-    '      "failed": %s,\n'
-    '      "worst": ' + _CHECK_RECORD.replace("\n", "\n  ").lstrip() + "\n"
-    "    }"
-)
-
-
 # Slots: x and y of each outer, then each Morley vertex, then the side spread.
 _FORWARD_TEMPLATE = _layout(
     {
@@ -155,6 +134,20 @@ _FORWARD_TEMPLATE = _layout(
         "morley": list(INNER_NAMES),
         "side_spread": _SLOT,
     }
+)
+
+# A check of the report, with the slots _record_values fills.
+_CHECK = dict.fromkeys(("name", "mode", "measured", "expected", "abs_error", "tol", "pass"), _SLOT)
+
+# The elements of the report's lists: a check, and a check family (its
+# name, count and failed count, then its worst check).
+_CHECK_RECORD = _element(_CHECK)
+_FAMILY_RECORD = _element({"family": _SLOT, "count": _SLOT, "failed": _SLOT, "worst": _CHECK})
+
+# Each list slot is filled by _list.
+_FULL_TEMPLATE = _layout(dict.fromkeys(("seed", "samples", "all_pass", "checks"), _SLOT))
+_COMPACT_TEMPLATE = _layout(
+    dict.fromkeys(("seed", "samples", "all_pass", "count", "failed", "families", "failures"), _SLOT)
 )
 
 
@@ -188,16 +181,13 @@ def _record_values(report: CheckReport) -> tuple[str, ...]:
     )
 
 
-def _write_list(out: io.StringIO, elements: Iterator[str]) -> None:
-    """Write a list of the report's top level, each element already laid out."""
-    first = next(elements, None)
-    if first is None:
-        out.write("[]")
-    else:
-        out.write("[\n")
-        out.write(first)
-        out.writelines(map(",\n".__add__, elements))
-        out.write("\n  ]")
+def _list(records: Iterable[str]) -> str:
+    """The slot text of a report list whose elements are already laid out.
+
+    Each record is joined as it is made, and the brackets added in one
+    copy, so the full report holds at most two copies of its checks."""
+    body = ",\n".join(records)
+    return f"[\n{body}\n  ]" if body else "[]"
 
 
 def summary_document(summary: VerificationSummary, *, full: bool = False) -> str:
@@ -208,35 +198,26 @@ def summary_document(summary: VerificationSummary, *, full: bool = False) -> str
     failed count and worst check, and every failing check.  With
     ``full`` it holds every check instead.
     """
+    seed, samples = _number(summary.seed), _number(summary.samples)
     if full:
-        all_pass = summary.all_pass
-    else:
-        families = summary.families()
-        failed = sum(entry[2] for entry in families)
-        all_pass = not failed
-    out = io.StringIO()
-    out.write(
-        '{\n  "seed": %s,\n  "samples": %s,\n  "all_pass": %s,\n'
-        % (_number(summary.seed), _number(summary.samples), "true" if all_pass else "false")
+        checks = _list(_CHECK_RECORD % _record_values(report) for report in summary.checks)
+        return _FULL_TEMPLATE % (seed, samples, "true" if summary.all_pass else "false", checks)
+    families = summary.families()
+    failed = sum(entry[2] for entry in families)
+    # The families' counts say whether there is a failure to look for.
+    failures = summary.failures() if failed else ()
+    return _COMPACT_TEMPLATE % (
+        seed,
+        samples,
+        "false" if failed else "true",
+        len(summary.checks),
+        failed,
+        _list(
+            _FAMILY_RECORD % (encode_basestring_ascii(family), count, family_failed, *_record_values(worst))
+            for family, count, family_failed, worst in families
+        ),
+        _list(_CHECK_RECORD % _record_values(report) for report in failures),
     )
-    if full:
-        out.write('  "checks": ')
-        _write_list(out, (_CHECK_RECORD % _record_values(report) for report in summary.checks))
-    else:
-        out.write('  "count": %s,\n  "failed": %s,\n  "families": ' % (len(summary.checks), failed))
-        _write_list(
-            out,
-            (
-                _FAMILY_RECORD % (encode_basestring_ascii(family), count, family_failed, *_record_values(worst))
-                for family, count, family_failed, worst in families
-            ),
-        )
-        # The families' counts say whether there is a failure to look for.
-        failures = summary.failures() if failed else ()
-        out.write(',\n  "failures": ')
-        _write_list(out, (_CHECK_RECORD % _record_values(report) for report in failures))
-    out.write("\n}\n")
-    return out.getvalue()
 
 
 def forward_document(outer: Triangle, morley: Triangle) -> str:

@@ -128,7 +128,8 @@ class VerificationSummary(Record):
             prefix = _SAMPLE_PREFIX.match(name)
             family = name[prefix.end():] if prefix else name
             error = report.abs_error
-            failed = not report.passed
+            # report.passed, from the error already in hand.
+            failed = not error <= report.tol
             rank = (failed, error != error, error)
             entry = seen.setdefault(family, [0, 0, report, rank])
             entry[0] += 1

@@ -236,6 +236,17 @@ class TestSummaryMatchesStdlibEncoder:
         seed=1,
         samples=3,
     )
+    # Text filled into a record is filled again into the report, so a
+    # "%" in it must reach the document as written.
+    @example(
+        reports=[
+            CheckReport("s0/%", 1.0, 0.0, 0.1, "%s"),
+            CheckReport("s1/%", 0.0, 0.0, 0.1, "%%"),
+            CheckReport("%(seed)s", 0.0, 0.0, 0.1, "%(seed)s"),
+        ],
+        seed=5,
+        samples=2,
+    )
     def test_bytes_equal_the_encoder(self, reports, seed, samples):
         summary = VerificationSummary(reports, seed, samples)
         assert summary_document(summary, full=True) == _encoder_summary(summary)
