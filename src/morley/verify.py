@@ -19,7 +19,8 @@ The first of these is reported in "signed" mode when the expectation
 pi/3 - 2b is not positive (b at or above pi/6): the unsigned angle
 cannot equal a negative number, so the measurement orients the angle
 by the inner triangle's winding instead.  All other identities hold as
-plain unsigned angles for every admissible triple.
+plain unsigned angles for every admissible triple.  A summary keeps
+its checks as columns and builds a CheckReport only when one is read.
 """
 
 from __future__ import annotations
@@ -27,7 +28,9 @@ from __future__ import annotations
 import math
 import random
 import re
+from array import array
 from collections.abc import Iterable, Sequence
+from operator import add, index
 
 from .forward import apply_similarity, morley_triangle, side_spread
 from .inverse import (
@@ -94,22 +97,69 @@ class CheckReport(Record):
         return self.abs_error <= self.tol
 
 
+class _Checks(Sequence):
+    """An immutable sequence of CheckReport kept as columns: the shared
+    strings of each check's prefix (empty, or run_battery's ``s<digits>/``),
+    name and mode, and three float arrays of its measured, expected and tol
+    values.  It builds a report only when one is read, and equals, hashes
+    and prints as the tuple of the same reports."""
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, reports: Iterable[CheckReport] = ()) -> None:
+        rows = tuple(map(CheckReport._values, reports))
+        names, measured, expected, tol, modes = zip(*rows) if rows else ((),) * 5
+        self._columns = [""] * len(rows), list(names), *map(array, "ddd", (measured, expected, tol)), list(modes)
+
+    def _extend(self, prefix: str, checks: _Checks) -> None:
+        """Append ``checks``, each prefix led by ``prefix``, before any summary holds this."""
+        prefixes, *columns = checks._columns
+        for column, values in zip(self._columns, ([prefix + p for p in prefixes], *columns)):
+            column += values
+
+    def _failing(self) -> list[int]:
+        rows = enumerate(zip(*self._columns[2:5]))
+        return [i for i, (measured, expected, tol) in rows if not abs(measured - expected) <= tol]
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(*i.indices(len(self)))))
+        prefix, name, *fields = (column[i] for column in self._columns)
+        return CheckReport(prefix + name, *fields)
+
+    def __iter__(self):
+        return map(CheckReport, map(add, *self._columns[:2]), *self._columns[2:])
+
+    def __eq__(self, other: object) -> bool:
+        return (self is other or tuple(self) == tuple(other)) if isinstance(other, (tuple, _Checks)) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 class VerificationSummary(Record):
-    """A batch of check reports with the sweep parameters that made it."""
+    """A batch of check reports, kept as a _Checks, with the sweep
+    parameters that made it; the verdicts read the checks' columns."""
 
     __slots__ = ("checks", "seed", "samples")
 
     def __init__(self, checks: Iterable[CheckReport], seed: int = 0, samples: int = 1) -> None:
-        _set_field(self, "checks", tuple(checks))
+        _set_field(self, "checks", checks if checks.__class__ is _Checks else _Checks(checks))
         _set_field(self, "seed", seed)
         _set_field(self, "samples", samples)
 
     @property
     def all_pass(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return not self.checks._failing()
 
     def failures(self) -> tuple[CheckReport, ...]:
-        return tuple(c for c in self.checks if not c.passed)
+        return tuple(map(self.checks.__getitem__, self.checks._failing()))
 
     def families(self) -> tuple[tuple[str, int, int, CheckReport], ...]:
         """``(family, count, failed, worst)`` for each check family, in
@@ -121,22 +171,22 @@ class VerificationSummary(Record):
         passing one and, among failing ones, a NaN error the largest; a
         tie goes to the first in report order.
         """
-        # family -> [count, failed, worst, its rank]; a larger rank is worse.
+        # family -> [count, failed, index of worst, its rank]; a larger rank is worse.
         seen: dict[str, list] = {}
-        for report in self.checks:
-            name = report.name
-            prefix = _SAMPLE_PREFIX.match(name)
-            family = name[prefix.end():] if prefix else name
-            error = report.abs_error
-            # report.passed, from the error already in hand.
-            failed = not error <= report.tol
+        for i, (prefix, name, measured, expected, tol, _) in enumerate(zip(*self.checks._columns)):
+            # A prefix is a sample prefix; a name without one may start with its own.
+            if not prefix and (match := _SAMPLE_PREFIX.match(name)):
+                name = name[match.end():]
+            error = abs(measured - expected)
+            # CheckReport.passed, from the error already in hand.
+            failed = not error <= tol
             rank = (failed, error != error, error)
-            entry = seen.setdefault(family, [0, 0, report, rank])
+            entry = seen.setdefault(name, [0, 0, i, rank])
             entry[0] += 1
             entry[1] += failed
             if rank > entry[3]:
-                entry[2:] = report, rank
-        return tuple((family, count, failed, worst) for family, (count, failed, worst, _) in seen.items())
+                entry[2:] = i, rank
+        return tuple((family, count, failed, self.checks[i]) for family, (count, failed, i, _) in seen.items())
 
 
 def polygon_interior_angles(points: Sequence[Point]) -> list[float]:
@@ -176,43 +226,45 @@ _IDENTITY_GROUPS = cyclic((
     ("A", "I_a", "J_a", "a"),
 ))
 
+# Each group's six check names, made once and shared by every report:
+# its identities in report order, then its isosceles pair.
+_GROUP_NAMES = tuple(
+    (*("angle[{1} {0} {2}]".format(*angle) for angle in (opposite, at_j, at_i)), f"pentagon[{' '.join(pentagon)}]",
+     "angle[{1} {0} {2}]".format(*full), "isosceles[{0}: {1} {2}]".format(*opposite))
+    for opposite, at_j, at_i, pentagon, full in _IDENTITY_GROUPS
+)
+_OUTER_ANGLE_NAMES = tuple(f"outer angle[{label}]" for label in OUTER_NAMES)
 
-def _angle_name(vertex: str, p: str, q: str) -> str:
-    return f"angle[{p} {vertex} {q}]"
 
-
-def check_angle_identities(
-    cfg: MorleyConfiguration, tol: float = ANGLE_TOL, *, prefix: str = ""
-) -> VerificationSummary:
-    """The fifteen per-vertex angle identities of the configuration, each
-    name led by ``prefix``."""
+def check_angle_identities(cfg: MorleyConfiguration, tol: float = ANGLE_TOL) -> VerificationSummary:
+    """The fifteen per-vertex angle identities of the configuration."""
     pts = cfg.named_points()
     winding = float(orientation(*cfg.inner.vertices))
     checks: list[CheckReport] = []
-    for opposite, at_j, at_i, pentagon, full in _IDENTITY_GROUPS:
+    for (opposite, at_j, at_i, pentagon, full), names in zip(_IDENTITY_GROUPS, _GROUP_NAMES):
         vertex, p, q, param = opposite
         value = getattr(cfg.angles, param)
         expected = math.pi / 3.0 - 2.0 * value
         measured = winding * signed_angle(pts[vertex], pts[p], pts[q])
         mode = "unsigned" if value < math.pi / 6.0 else "signed"
-        checks.append(CheckReport(prefix + _angle_name(vertex, p, q), measured, expected, tol, mode))
+        checks.append(CheckReport(names[0], measured, expected, tol, mode))
 
-        for vertex, p, q, param in (at_j, at_i):
+        for name, (vertex, p, q, param) in zip(names[1:3], (at_j, at_i)):
             expected = 2.0 * math.pi / 3.0 - getattr(cfg.angles, param)
             measured = angle_at(pts[vertex], pts[p], pts[q])
-            checks.append(CheckReport(prefix + _angle_name(vertex, p, q), measured, expected, tol))
+            checks.append(CheckReport(name, measured, expected, tol))
 
         measured = math.fsum(polygon_interior_angles([pts[name] for name in pentagon]))
-        checks.append(CheckReport(f"{prefix}pentagon[{' '.join(pentagon)}]", measured, 3.0 * math.pi, tol))
+        checks.append(CheckReport(names[3], measured, 3.0 * math.pi, tol))
 
         vertex, p, q, param = full
         expected = 3.0 * getattr(cfg.angles, param)
         measured = angle_at(pts[vertex], pts[p], pts[q])
-        checks.append(CheckReport(prefix + _angle_name(vertex, p, q), measured, expected, tol))
+        checks.append(CheckReport(names[4], measured, expected, tol))
     return VerificationSummary(checks)
 
 
-def check_isosceles_arcs(cfg: MorleyConfiguration, *, prefix: str = "") -> VerificationSummary:
+def check_isosceles_arcs(cfg: MorleyConfiguration) -> VerificationSummary:
     """|apex I| against |apex J| for the three chord pairs.
 
     The pairs are the points of each group's "opposite" identity: the two
@@ -221,26 +273,20 @@ def check_isosceles_arcs(cfg: MorleyConfiguration, *, prefix: str = "") -> Verif
     """
     pts = cfg.named_points()
     checks = []
-    for (apex, i_name, j_name, _), *_ in _IDENTITY_GROUPS:
+    for ((apex, i_name, j_name, _), *_), names in zip(_IDENTITY_GROUPS, _GROUP_NAMES):
         left = pts[apex].distance_to(pts[i_name])
         right = pts[apex].distance_to(pts[j_name])
-        ratio = left / right
-        checks.append(CheckReport(f"{prefix}isosceles[{apex}: {i_name} {j_name}]", ratio, 1.0, ISOSCELES_RTOL))
+        checks.append(CheckReport(names[5], left / right, 1.0, ISOSCELES_RTOL))
     return VerificationSummary(checks)
 
 
-def check_outer_angles(cfg: MorleyConfiguration, tol: float = ANGLE_TOL, *, prefix: str = "") -> VerificationSummary:
+def check_outer_angles(cfg: MorleyConfiguration, tol: float = ANGLE_TOL) -> VerificationSummary:
     """Interior angles of the constructed triangle against (3a, 3b, 3c)."""
-    triples = zip(OUTER_NAMES, cfg.outer.angles(), cfg.angles.as_tuple())
-    checks = []
-    for label, measured, angle in triples:
-        checks.append(CheckReport(f"{prefix}outer angle[{label}]", measured, 3.0 * angle, tol))
-    return VerificationSummary(checks)
+    triples = zip(_OUTER_ANGLE_NAMES, cfg.outer.angles(), cfg.angles.as_tuple())
+    return VerificationSummary(CheckReport(name, measured, 3.0 * angle, tol) for name, measured, angle in triples)
 
 
-def check_roundtrip(
-    inner: Triangle, angles: AngleTriple, tol: float = ANGLE_TOL, *, prefix: str = ""
-) -> CheckReport:
+def check_roundtrip(inner: Triangle, angles: AngleTriple, tol: float = ANGLE_TOL) -> CheckReport:
     """Construct, trisect independently, and compare with the input.
 
     The configuration is built here from ``inner`` and ``angles``, not
@@ -255,14 +301,14 @@ def check_roundtrip(
         u.distance_to(v)
         for u, v in zip(cfg.inner.vertices, recovered.vertices)
     )
-    return CheckReport(prefix + "roundtrip", worst / scale, 0.0, tol)
+    return CheckReport("roundtrip", worst / scale, 0.0, tol)
 
 
-def check_equilateral_forward(trisected: Triangle, tol: float = ANGLE_TOL, *, prefix: str = "") -> CheckReport:
+def check_equilateral_forward(trisected: Triangle, tol: float = ANGLE_TOL) -> CheckReport:
     """Side spread of ``trisected``, the trisector triangle
     (``morley_triangle``) of an arbitrary triangle."""
     spread = side_spread(trisected)
-    return CheckReport(prefix + "forward equilateral", spread, 0.0, tol)
+    return CheckReport("forward equilateral", spread, 0.0, tol)
 
 
 def check_similarity_invariance(
@@ -272,8 +318,6 @@ def check_similarity_invariance(
     scale: float,
     translation: Point,
     tol: float = ANGLE_TOL,
-    *,
-    prefix: str = "",
 ) -> CheckReport:
     """Trisecting commutes with rotating, scaling and translating.
 
@@ -287,7 +331,7 @@ def check_similarity_invariance(
     pushed = apply_similarity(trisected, theta, scale, translation)
     ref = moved.scale()
     worst = max(u.distance_to(v) for u, v in zip(direct.vertices, pushed.vertices))
-    return CheckReport(prefix + "similarity", worst / ref, 0.0, tol)
+    return CheckReport("similarity", worst / ref, 0.0, tol)
 
 
 def check_limit_perpendicular(a_small: float, inner: Triangle | None = None) -> VerificationSummary:
@@ -329,17 +373,17 @@ def limit_sequence(inner: Triangle | None = None) -> VerificationSummary:
     probes (zero when the deviations are non-increasing).
     """
     inner = inner or equilateral_triangle()
-    checks: list[CheckReport] = []
+    checks = _Checks()
     deviations: list[float] = []
     for a_small in LIMIT_DEFAULT_VALUES:
         batch = check_limit_perpendicular(a_small, inner).checks
-        checks.extend(batch)
-        # The perpendicular check's abs_error, |between - pi/2|.
-        deviations.append(batch[0].abs_error)
+        checks._extend("", batch)
+        # The perpendicular check's abs_error, |between - pi/2|, from its columns.
+        deviations.append(abs(batch._columns[2][0] - batch._columns[3][0]))
     worst_increase = max(
         later - earlier for earlier, later in zip(deviations, deviations[1:])
     )
-    checks.append(CheckReport("limit monotone", max(0.0, worst_increase), 0.0, 0.0))
+    checks._extend("", _Checks([CheckReport("limit monotone", max(0.0, worst_increase), 0.0, 0.0)]))
     return VerificationSummary(checks)
 
 
@@ -397,30 +441,31 @@ def run_battery(samples: int = 100, seed: int = DEFAULT_SEED, tol: float = ANGLE
     Each sample constructs a configuration from a random angle triple
     on the unit equilateral triangle and runs every per-configuration
     check; it also trisects an unrelated random triangle once and checks
-    that result for equilaterality and similarity commutation.  Each
-    check is named, as it is built, with the sample index as a prefix.
-    ``tol`` goes to every angle and length check: absolute in radians
-    for the angles, relative to the figure's scale for the lengths.  The
-    isosceles and limit checks keep their own tolerances.
+    that result for equilaterality and similarity commutation.  A
+    sample's 24 checks share one prefix, ``s<index>/``, in the columns.
+    ``samples`` and ``seed`` are whole numbers.  ``tol`` goes to every
+    angle and length check: absolute in radians for the angles, relative
+    to the figure's scale for the lengths.  The isosceles and limit
+    checks keep their own tolerances.
     """
+    samples, seed = index(samples), index(seed)
     inner = equilateral_triangle()
     rng = _seeded(seed)
     triples = _sample_triples(rng, samples)
-    checks: list[CheckReport] = []
-    for index, angles in enumerate(triples):
-        prefix = f"s{index:04d}/"
+    checks = _Checks()
+    for number, angles in enumerate(triples):
+        prefix = f"s{number:04d}/"
         cfg = construct(inner, angles)
-        checks += check_angle_identities(cfg, tol, prefix=prefix).checks
-        checks += check_isosceles_arcs(cfg, prefix=prefix).checks
-        checks += check_outer_angles(cfg, tol, prefix=prefix).checks
-        checks.append(check_roundtrip(inner, angles, tol, prefix=prefix))
+        checks._extend(prefix, check_angle_identities(cfg, tol).checks)
+        checks._extend(prefix, check_isosceles_arcs(cfg).checks)
+        checks._extend(prefix, check_outer_angles(cfg, tol).checks)
+        batch = [check_roundtrip(inner, angles, tol)]
 
         triangle = random_triangle(rng)
         trisected = morley_triangle(triangle)
-        checks.append(check_equilateral_forward(trisected, tol, prefix=prefix))
+        batch.append(check_equilateral_forward(trisected, tol))
         theta, scale, shift = random_similarity(rng)
-        checks.append(
-            check_similarity_invariance(triangle, trisected, theta, scale, shift, tol, prefix=prefix)
-        )
-    checks.extend(limit_sequence(inner).checks)
+        batch.append(check_similarity_invariance(triangle, trisected, theta, scale, shift, tol))
+        checks._extend(prefix, _Checks(batch))
+    checks._extend("", limit_sequence(inner).checks)
     return VerificationSummary(checks, seed, samples)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from morley.inverse import AngleTriple, MorleyConfiguration, construct, equilateral_triangle
 from morley.kernel import Circle, Line, Point, Triangle
 from morley.render import TrisectionScene
-from morley.verify import CheckReport, VerificationSummary
+from morley.verify import CheckReport, VerificationSummary, run_battery
 
 # Each type's fields in the order its dataclass declared them.
 FIELDS = {
@@ -60,6 +60,8 @@ def examples():
         report,
         VerificationSummary([report], seed=7, samples=1),
         TrisectionScene.from_triangle(Triangle(Point(0, 0), Point(4, 0), Point(0, 3))),
+        # A battery's checks, kept as columns; its own id keeps the ids above.
+        pytest.param(run_battery(2, 1), id="VerificationSummary-battery"),
     ]
 
 

@@ -1,6 +1,8 @@
+import gc
 import json
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -379,6 +381,24 @@ class TestBattery:
     def test_rejects_nonpositive_samples(self):
         with pytest.raises(ValueError):
             run_battery(samples=0)
+        # Whole numbers only: a float is neither rounded up nor printed.
+        with pytest.raises(TypeError):
+            run_battery(samples=1.5, seed=3)
+        with pytest.raises(TypeError):
+            run_battery(samples=2, seed=2.5)
+
+    def test_keeps_few_bytes_per_check(self):
+        # The checks are kept as columns: shared names and float arrays.
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            summary = run_battery(200, 3)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept / len(summary.checks) <= 100
 
     def test_trisects_each_triangle_once(self, monkeypatch):
         calls = Counter()
@@ -483,4 +503,7 @@ def test_battery_matches_reference_sweep(seed):
     summary = run_battery(samples=20, seed=seed)
     reference = _reference_battery(20, seed)
     assert summary.checks == reference.checks
+    assert summary.checks[-1] == reference.checks[-1]
+    assert summary.checks[3:9] == reference.checks[3:9]
+    assert tuple(reversed(summary.checks)) == tuple(reversed(reference.checks))
     assert summary_document(summary, full=True) == summary_document(reference, full=True)
