@@ -1,10 +1,10 @@
 """Numerical verification of the construction's angle identities.
 
 Every check compares a measured quantity against a closed-form
-expectation and produces a CheckReport.  Angle checks carry an absolute
-tolerance in radians; length checks are relative to a natural scale of
-the figure (inner side length, or the scale of a transformed triangle),
-so reports are meaningful regardless of the units of the input.
+expectation.  Angle checks carry an absolute tolerance in radians;
+length checks are relative to a natural scale of the figure (inner side
+length, or the scale of a transformed triangle), so reports are
+meaningful regardless of the units of the input.
 
 The identity battery covers, at each outer vertex and its two arc
 points (shown here for vertex A, with the two analogous groups obtained
@@ -19,8 +19,9 @@ The first of these is reported in "signed" mode when the expectation
 pi/3 - 2b is not positive (b at or above pi/6): the unsigned angle
 cannot equal a negative number, so the measurement orients the angle
 by the inner triangle's winding instead.  All other identities hold as
-plain unsigned angles for every admissible triple.  A summary keeps
-its checks as columns and builds a CheckReport only when one is read.
+plain unsigned angles for every admissible triple.  A check of one
+result returns a CheckReport; the others measure into rows, which a
+summary keeps as columns, building a CheckReport only when one is read.
 """
 
 from __future__ import annotations
@@ -98,16 +99,16 @@ class CheckReport(Record):
 
 
 class _Checks(Sequence):
-    """An immutable sequence of CheckReport kept as columns: the shared
-    strings of each check's prefix (empty, or run_battery's ``s<digits>/``),
-    name and mode, and three float arrays of its measured, expected and tol
-    values.  It builds a report only when one is read, and equals, hashes
-    and prints as the tuple of the same reports."""
+    """An immutable sequence of CheckReport kept as columns, made from rows
+    (name, measured, expected, tol, mode): the shared strings of each check's
+    prefix (empty, or run_battery's ``s<digits>/``), name and mode, and three
+    float arrays of its measured, expected and tol values.  It builds a report
+    only when one is read, and equals, hashes and prints as their tuple."""
 
     __slots__ = ("_columns",)
 
-    def __init__(self, reports: Iterable[CheckReport] = ()) -> None:
-        rows = tuple(map(CheckReport._values, reports))
+    def __init__(self, rows: Iterable[tuple[str, float, float, float, str]] = ()) -> None:
+        rows = tuple(rows)
         names, measured, expected, tol, modes = zip(*rows) if rows else ((),) * 5
         self._columns = [""] * len(rows), list(names), *map(array, "ddd", (measured, expected, tol)), list(modes)
 
@@ -144,13 +145,13 @@ class _Checks(Sequence):
 
 
 class VerificationSummary(Record):
-    """A batch of check reports, kept as a _Checks, with the sweep
-    parameters that made it; the verdicts read the checks' columns."""
+    """A batch of checks, kept as a _Checks, with the sweep parameters that
+    made it; reports passed in become rows here, and verdicts read columns."""
 
     __slots__ = ("checks", "seed", "samples")
 
     def __init__(self, checks: Iterable[CheckReport], seed: int = 0, samples: int = 1) -> None:
-        _set_field(self, "checks", checks if checks.__class__ is _Checks else _Checks(checks))
+        _set_field(self, "checks", checks if checks.__class__ is _Checks else _Checks(map(CheckReport._values, checks)))
         _set_field(self, "seed", seed)
         _set_field(self, "samples", samples)
 
@@ -240,28 +241,28 @@ def check_angle_identities(cfg: MorleyConfiguration, tol: float = ANGLE_TOL) -> 
     """The fifteen per-vertex angle identities of the configuration."""
     pts = cfg.named_points()
     winding = float(orientation(*cfg.inner.vertices))
-    checks: list[CheckReport] = []
+    rows = []
     for (opposite, at_j, at_i, pentagon, full), names in zip(_IDENTITY_GROUPS, _GROUP_NAMES):
         vertex, p, q, param = opposite
         value = getattr(cfg.angles, param)
         expected = math.pi / 3.0 - 2.0 * value
         measured = winding * signed_angle(pts[vertex], pts[p], pts[q])
         mode = "unsigned" if value < math.pi / 6.0 else "signed"
-        checks.append(CheckReport(names[0], measured, expected, tol, mode))
+        rows.append((names[0], measured, expected, tol, mode))
 
         for name, (vertex, p, q, param) in zip(names[1:3], (at_j, at_i)):
             expected = 2.0 * math.pi / 3.0 - getattr(cfg.angles, param)
             measured = angle_at(pts[vertex], pts[p], pts[q])
-            checks.append(CheckReport(name, measured, expected, tol))
+            rows.append((name, measured, expected, tol, "unsigned"))
 
         measured = math.fsum(polygon_interior_angles([pts[name] for name in pentagon]))
-        checks.append(CheckReport(names[3], measured, 3.0 * math.pi, tol))
+        rows.append((names[3], measured, 3.0 * math.pi, tol, "unsigned"))
 
         vertex, p, q, param = full
         expected = 3.0 * getattr(cfg.angles, param)
         measured = angle_at(pts[vertex], pts[p], pts[q])
-        checks.append(CheckReport(names[4], measured, expected, tol))
-    return VerificationSummary(checks)
+        rows.append((names[4], measured, expected, tol, "unsigned"))
+    return VerificationSummary(_Checks(rows))
 
 
 def check_isosceles_arcs(cfg: MorleyConfiguration) -> VerificationSummary:
@@ -272,18 +273,19 @@ def check_isosceles_arcs(cfg: MorleyConfiguration) -> VerificationSummary:
     as the arc points sit symmetrically beyond the chord ends.
     """
     pts = cfg.named_points()
-    checks = []
+    rows = []
     for ((apex, i_name, j_name, _), *_), names in zip(_IDENTITY_GROUPS, _GROUP_NAMES):
         left = pts[apex].distance_to(pts[i_name])
         right = pts[apex].distance_to(pts[j_name])
-        checks.append(CheckReport(names[5], left / right, 1.0, ISOSCELES_RTOL))
-    return VerificationSummary(checks)
+        rows.append((names[5], left / right, 1.0, ISOSCELES_RTOL, "unsigned"))
+    return VerificationSummary(_Checks(rows))
 
 
 def check_outer_angles(cfg: MorleyConfiguration, tol: float = ANGLE_TOL) -> VerificationSummary:
     """Interior angles of the constructed triangle against (3a, 3b, 3c)."""
     triples = zip(_OUTER_ANGLE_NAMES, cfg.outer.angles(), cfg.angles.as_tuple())
-    return VerificationSummary(CheckReport(name, measured, 3.0 * angle, tol) for name, measured, angle in triples)
+    rows = ((name, measured, 3.0 * angle, tol, "unsigned") for name, measured, angle in triples)
+    return VerificationSummary(_Checks(rows))
 
 
 def check_roundtrip(inner: Triangle, angles: AngleTriple, tol: float = ANGLE_TOL) -> CheckReport:
@@ -357,11 +359,11 @@ def check_limit_perpendicular(a_small: float, inner: Triangle | None = None) -> 
     between = math.atan2(abs(cross), abs(dot))
     s_point = pts["C'"] + (pts["C'"] - pts["B'"])
     tag = f"limit[a={a_small:g}]"
-    return VerificationSummary((
-        CheckReport(f"{tag} perpendicular", between, math.pi / 2.0, tol),
-        CheckReport(f"{tag} dist[I_a, S]", pts["I_a"].distance_to(s_point) / side, 0.0, tol),
-        CheckReport(f"{tag} dist[J_b, S]", pts["J_b"].distance_to(s_point) / side, 0.0, tol),
-    ))
+    return VerificationSummary(_Checks((
+        (f"{tag} perpendicular", between, math.pi / 2.0, tol, "unsigned"),
+        (f"{tag} dist[I_a, S]", pts["I_a"].distance_to(s_point) / side, 0.0, tol, "unsigned"),
+        (f"{tag} dist[J_b, S]", pts["J_b"].distance_to(s_point) / side, 0.0, tol, "unsigned"),
+    )))
 
 
 def limit_sequence(inner: Triangle | None = None) -> VerificationSummary:
@@ -376,14 +378,11 @@ def limit_sequence(inner: Triangle | None = None) -> VerificationSummary:
     checks = _Checks()
     deviations: list[float] = []
     for a_small in LIMIT_DEFAULT_VALUES:
-        batch = check_limit_perpendicular(a_small, inner).checks
-        checks._extend("", batch)
-        # The perpendicular check's abs_error, |between - pi/2|, from its columns.
-        deviations.append(abs(batch._columns[2][0] - batch._columns[3][0]))
-    worst_increase = max(
-        later - earlier for earlier, later in zip(deviations, deviations[1:])
-    )
-    checks._extend("", _Checks([CheckReport("limit monotone", max(0.0, worst_increase), 0.0, 0.0)]))
+        probe = check_limit_perpendicular(a_small, inner).checks
+        checks._extend("", probe)
+        deviations.append(probe[0].abs_error)
+    worst_increase = max(later - earlier for earlier, later in zip(deviations, deviations[1:]))
+    checks._extend("", _Checks([("limit monotone", max(0.0, worst_increase), 0.0, 0.0, "unsigned")]))
     return VerificationSummary(checks)
 
 
@@ -459,13 +458,13 @@ def run_battery(samples: int = 100, seed: int = DEFAULT_SEED, tol: float = ANGLE
         checks._extend(prefix, check_angle_identities(cfg, tol).checks)
         checks._extend(prefix, check_isosceles_arcs(cfg).checks)
         checks._extend(prefix, check_outer_angles(cfg, tol).checks)
-        batch = [check_roundtrip(inner, angles, tol)]
-
         triangle = random_triangle(rng)
         trisected = morley_triangle(triangle)
-        batch.append(check_equilateral_forward(trisected, tol))
         theta, scale, shift = random_similarity(rng)
-        batch.append(check_similarity_invariance(triangle, trisected, theta, scale, shift, tol))
-        checks._extend(prefix, _Checks(batch))
+        checks._extend(prefix, VerificationSummary((
+            check_roundtrip(inner, angles, tol),
+            check_equilateral_forward(trisected, tol),
+            check_similarity_invariance(triangle, trisected, theta, scale, shift, tol),
+        )).checks)
     checks._extend("", limit_sequence(inner).checks)
     return VerificationSummary(checks, seed, samples)

@@ -17,7 +17,6 @@ from morley.inverse import MIN_ANGLE, AngleTriple, InvalidAngles, construct, equ
 from morley.kernel import Point, Triangle, cross_dot
 from morley.verify import (
     ANGLE_TOL,
-    LENGTH_RTOL,
     CheckReport,
     VerificationSummary,
     _sample_triples,
@@ -339,6 +338,23 @@ class TestSampling:
             assert min(t.angles()) >= math.radians(3.0)
 
 
+def _count_calls(monkeypatch, names):
+    """Wrap each of ``names`` where morley.verify binds it; the Counter
+    returned counts the calls by name."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def counting(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return counting
+
+    for name in names:
+        monkeypatch.setattr(morley.verify, name, counted(name, getattr(morley.verify, name)))
+    return calls
+
+
 class TestBattery:
     def test_default_battery_passes(self):
         summary = run_battery(samples=30, seed=7)
@@ -401,25 +417,22 @@ class TestBattery:
         assert kept / len(summary.checks) <= 100
 
     def test_trisects_each_triangle_once(self, monkeypatch):
-        calls = Counter()
-
-        def counted(name):
-            fn = getattr(morley.verify, name)
-
-            def counting(*args):
-                calls[name] += 1
-                return fn(*args)
-
-            return counting
-
-        for name in ("construct", "morley_triangle"):
-            monkeypatch.setattr(morley.verify, name, counted(name))
+        calls = _count_calls(monkeypatch, ("construct", "morley_triangle"))
         run_battery(samples=3, seed=7)
         # Per sample: the configuration, rebuilt once more by
         # check_roundtrip; then the three limit probes.
         assert calls["construct"] == 3 * 2 + 3
         # Per sample: the roundtrip, the random triangle, its moved copy.
         assert calls["morley_triangle"] == 3 * 3
+
+    def test_calls_each_check_once_per_sample(self, monkeypatch):
+        # The battery calls each public check by its module name, so a
+        # wrapper (such as the bench tracer's) sees every sample's call.
+        names = ("check_angle_identities", "check_isosceles_arcs", "check_outer_angles",
+                 "check_roundtrip", "check_equilateral_forward", "check_similarity_invariance")
+        calls = _count_calls(monkeypatch, names)
+        run_battery(samples=3, seed=7)
+        assert calls == dict.fromkeys(names, 3)
 
     def test_measures_each_angle_once(self, monkeypatch):
         calls = Counter()
@@ -448,8 +461,9 @@ class TestBattery:
         assert calls["Point"] <= 3 * 120
 
     def test_builds_each_report_once(self, monkeypatch):
-        # Each check is named with its sample prefix as it is built, not
-        # built and then copied under the prefixed name.
+        # The checks of several results measure into rows, and only the
+        # three that return a report build one; the prefixed names are
+        # never built as reports.
         calls = Counter()
         init = CheckReport.__init__
 
@@ -459,14 +473,17 @@ class TestBattery:
 
         monkeypatch.setattr(CheckReport, "__init__", counting)
         summary = run_battery(samples=3, seed=7)
-        # 24 checks per sample, then the 10 of the limit sequence.
-        assert calls["CheckReport"] == len(summary.checks) == 3 * 24 + 10
+        # 3 reports per sample, and one per limit probe, read for its
+        # deviation; the summary holds 24 checks per sample and 10 limit checks.
+        assert calls["CheckReport"] == 3 * 3 + 3
+        assert len(summary.checks) == 3 * 24 + 10
 
 
-def _reference_battery(samples, seed):
+def _reference_battery(samples, seed, tol):
     """run_battery with every check recomputing what it needs, as before
     the battery shared each sample's trisection: the forward checks each
-    trisect the random triangle, and reports are renamed into new ones."""
+    trisect the random triangle, and reports are renamed into new ones,
+    so each family is read from the name, not the prefix column."""
     inner = equilateral_triangle()
     rng = random.Random(seed)
     checks = []
@@ -474,23 +491,23 @@ def _reference_battery(samples, seed):
         prefix = f"s{index:04d}/"
         cfg = construct(inner, angles)
         batch = [
-            *check_angle_identities(cfg, ANGLE_TOL).checks,
+            *check_angle_identities(cfg, tol).checks,
             *check_isosceles_arcs(cfg).checks,
-            *check_outer_angles(cfg, ANGLE_TOL).checks,
+            *check_outer_angles(cfg, tol).checks,
         ]
         rebuilt = construct(inner, angles)
         recovered = morley_triangle(rebuilt.outer)
         worst = max(u.distance_to(v) for u, v in zip(rebuilt.inner.vertices, recovered.vertices))
-        batch.append(CheckReport("roundtrip", worst / inner.scale(), 0.0, LENGTH_RTOL))
+        batch.append(CheckReport("roundtrip", worst / inner.scale(), 0.0, tol))
 
         triangle = random_triangle(rng)
-        batch.append(CheckReport("forward equilateral", side_spread(morley_triangle(triangle)), 0.0, LENGTH_RTOL))
+        batch.append(CheckReport("forward equilateral", side_spread(morley_triangle(triangle)), 0.0, tol))
         theta, scale, shift = random_similarity(rng)
         moved = apply_similarity(triangle, theta, scale, shift)
         direct = morley_triangle(moved)
         pushed = apply_similarity(morley_triangle(triangle), theta, scale, shift)
         worst = max(u.distance_to(v) for u, v in zip(direct.vertices, pushed.vertices))
-        batch.append(CheckReport("similarity", worst / moved.scale(), 0.0, LENGTH_RTOL))
+        batch.append(CheckReport("similarity", worst / moved.scale(), 0.0, tol))
         checks.extend(
             CheckReport(prefix + r.name, r.measured, r.expected, r.tol, r.mode) for r in batch
         )
@@ -498,12 +515,22 @@ def _reference_battery(samples, seed):
     return VerificationSummary(checks, seed, samples)
 
 
-@pytest.mark.parametrize("seed", [0, 11, 2024])
-def test_battery_matches_reference_sweep(seed):
-    summary = run_battery(samples=20, seed=seed)
-    reference = _reference_battery(20, seed)
+# An impossible tolerance puts failures in every family's worst check
+# and in the compact report's failures list.
+@pytest.mark.parametrize(
+    "seed, tol",
+    [pytest.param(0, ANGLE_TOL, id="0"), pytest.param(11, ANGLE_TOL, id="11"),
+     pytest.param(2024, ANGLE_TOL, id="2024"), pytest.param(11, 1e-17, id="11-1e-17")],
+)
+def test_battery_matches_reference_sweep(seed, tol):
+    summary = run_battery(samples=20, seed=seed, tol=tol)
+    reference = _reference_battery(20, seed, tol)
     assert summary.checks == reference.checks
     assert summary.checks[-1] == reference.checks[-1]
     assert summary.checks[3:9] == reference.checks[3:9]
     assert tuple(reversed(summary.checks)) == tuple(reversed(reference.checks))
     assert summary_document(summary, full=True) == summary_document(reference, full=True)
+    # A battery takes each family from the prefix column, a hand-built
+    # summary from the name's sample prefix.
+    assert summary.families() == reference.families()
+    assert summary_document(summary) == summary_document(reference)
