@@ -31,6 +31,7 @@ import random
 import re
 from array import array
 from collections.abc import Iterable, Sequence
+from itertools import chain, starmap
 from operator import add, index
 
 from .forward import apply_similarity, morley_triangle, side_spread
@@ -73,8 +74,8 @@ LIMIT_DEFAULT_VALUES = (1e-3, 1e-4, 1e-5)
 # Sampled triples keep every angle at least one degree away from zero.
 MIN_SAMPLE_ANGLE = math.radians(1.0)
 
-# A leading sample prefix, as run_battery puts on each check's name.
-_SAMPLE_PREFIX = re.compile(r"s[0-9]+/")
+# A leading sample prefix, as run_battery puts on a check's name, else "".
+_SAMPLE_PREFIX = re.compile(r"s[0-9]+/|")
 
 
 class CheckReport(Record):
@@ -99,24 +100,26 @@ class CheckReport(Record):
 
 
 class _Checks(Sequence):
-    """An immutable sequence of CheckReport kept as columns, made from rows
-    (name, measured, expected, tol, mode): the shared strings of each check's
-    prefix (empty, or run_battery's ``s<digits>/``), name and mode, and three
-    float arrays of its measured, expected and tol values.  It builds a report
-    only when one is read, and equals, hashes and prints as their tuple."""
+    """An immutable sequence of CheckReport kept as columns, made once from
+    parts (prefix, rows), each row (name, measured, expected, tol, mode) taking
+    its part's prefix (empty, or a sample's ``s<digits>/``).  Prefixes, names
+    and modes are shared strings, the other values float arrays.  A report is
+    built only when read; the sequence equals, hashes and prints as a tuple."""
 
     __slots__ = ("_columns",)
 
-    def __init__(self, rows: Iterable[tuple[str, float, float, float, str]] = ()) -> None:
-        rows = tuple(rows)
-        names, measured, expected, tol, modes = zip(*rows) if rows else ((),) * 5
-        self._columns = [""] * len(rows), list(names), *map(array, "ddd", (measured, expected, tol)), list(modes)
+    def __init__(self, parts: Iterable[tuple[str, Iterable[tuple[str, float, float, float, str]]]]) -> None:
+        prefixes, *columns = self._columns = [], [], array("d"), array("d"), array("d"), []
+        for prefix, rows in parts:
+            rows = tuple(rows)
+            prefixes += [prefix] * len(rows)
+            for column, values in zip(columns, zip(*rows)):
+                column.extend(values)
 
-    def _extend(self, prefix: str, checks: _Checks) -> None:
-        """Append ``checks``, each prefix led by ``prefix``, before any summary holds this."""
-        prefixes, *columns = checks._columns
-        for column, values in zip(self._columns, ([prefix + p for p in prefixes], *columns)):
-            column += values
+    def _rows(self) -> Iterable[tuple[str, float, float, float, str]]:
+        """Each check's (name, measured, expected, tol, mode), its prefix joined to its name."""
+        prefixes, names, *fields = self._columns
+        return zip(map(add, prefixes, names), *fields)
 
     def _failing(self) -> list[int]:
         rows = enumerate(zip(*self._columns[2:5]))
@@ -132,7 +135,7 @@ class _Checks(Sequence):
         return CheckReport(prefix + name, *fields)
 
     def __iter__(self):
-        return map(CheckReport, map(add, *self._columns[:2]), *self._columns[2:])
+        return starmap(CheckReport, self._rows())
 
     def __eq__(self, other: object) -> bool:
         return (self is other or tuple(self) == tuple(other)) if isinstance(other, (tuple, _Checks)) else NotImplemented
@@ -145,13 +148,14 @@ class _Checks(Sequence):
 
 
 class VerificationSummary(Record):
-    """A batch of checks, kept as a _Checks, with the sweep parameters that
-    made it; reports passed in become rows here, and verdicts read columns."""
+    """A batch of checks, kept as a _Checks made once, with the sweep
+    parameters that made it; verdicts read columns.  Reports passed in become
+    rows, a name's ``s<digits>/`` sample prefix going to the prefix column."""
 
     __slots__ = ("checks", "seed", "samples")
 
     def __init__(self, checks: Iterable[CheckReport], seed: int = 0, samples: int = 1) -> None:
-        _set_field(self, "checks", checks if checks.__class__ is _Checks else _Checks(map(CheckReport._values, checks)))
+        _set_field(self, "checks", checks if checks.__class__ is _Checks else _Checks(map(_report_part, checks)))
         _set_field(self, "seed", seed)
         _set_field(self, "samples", samples)
 
@@ -166,18 +170,15 @@ class VerificationSummary(Record):
         """``(family, count, failed, worst)`` for each check family, in
         order of first appearance.
 
-        A check's family is its name less a leading ``s<digits>/`` sample
-        prefix; any other name is its own family.  ``worst`` is the check
+        A check's family is its name less its ``s<digits>/`` sample
+        prefix, which the prefix column holds.  ``worst`` is the check
         with the largest ``abs_error``, a failing check outranking every
         passing one and, among failing ones, a NaN error the largest; a
         tie goes to the first in report order.
         """
         # family -> [count, failed, index of worst, its rank]; a larger rank is worse.
         seen: dict[str, list] = {}
-        for i, (prefix, name, measured, expected, tol, _) in enumerate(zip(*self.checks._columns)):
-            # A prefix is a sample prefix; a name without one may start with its own.
-            if not prefix and (match := _SAMPLE_PREFIX.match(name)):
-                name = name[match.end():]
+        for i, (name, measured, expected, tol) in enumerate(zip(*self.checks._columns[1:5])):
             error = abs(measured - expected)
             # CheckReport.passed, from the error already in hand.
             failed = not error <= tol
@@ -188,6 +189,12 @@ class VerificationSummary(Record):
             if rank > entry[3]:
                 entry[2:] = i, rank
         return tuple((family, count, failed, self.checks[i]) for family, (count, failed, i, _) in seen.items())
+
+
+def _report_part(report: CheckReport) -> tuple[str, tuple[tuple[str, float, float, float, str]]]:
+    """A report as a _Checks part of one row, a sample prefix split off its name."""
+    cut = _SAMPLE_PREFIX.match(report.name).end()
+    return report.name[:cut], ((report.name[cut:], *CheckReport._values(report)[1:]),)
 
 
 def polygon_interior_angles(points: Sequence[Point]) -> list[float]:
@@ -262,7 +269,7 @@ def check_angle_identities(cfg: MorleyConfiguration, tol: float = ANGLE_TOL) -> 
         expected = 3.0 * getattr(cfg.angles, param)
         measured = angle_at(pts[vertex], pts[p], pts[q])
         rows.append((names[4], measured, expected, tol, "unsigned"))
-    return VerificationSummary(_Checks(rows))
+    return VerificationSummary(_Checks([("", rows)]))
 
 
 def check_isosceles_arcs(cfg: MorleyConfiguration) -> VerificationSummary:
@@ -278,14 +285,14 @@ def check_isosceles_arcs(cfg: MorleyConfiguration) -> VerificationSummary:
         left = pts[apex].distance_to(pts[i_name])
         right = pts[apex].distance_to(pts[j_name])
         rows.append((names[5], left / right, 1.0, ISOSCELES_RTOL, "unsigned"))
-    return VerificationSummary(_Checks(rows))
+    return VerificationSummary(_Checks([("", rows)]))
 
 
 def check_outer_angles(cfg: MorleyConfiguration, tol: float = ANGLE_TOL) -> VerificationSummary:
     """Interior angles of the constructed triangle against (3a, 3b, 3c)."""
     triples = zip(_OUTER_ANGLE_NAMES, cfg.outer.angles(), cfg.angles.as_tuple())
     rows = ((name, measured, 3.0 * angle, tol, "unsigned") for name, measured, angle in triples)
-    return VerificationSummary(_Checks(rows))
+    return VerificationSummary(_Checks([("", rows)]))
 
 
 def check_roundtrip(inner: Triangle, angles: AngleTriple, tol: float = ANGLE_TOL) -> CheckReport:
@@ -359,11 +366,11 @@ def check_limit_perpendicular(a_small: float, inner: Triangle | None = None) -> 
     between = math.atan2(abs(cross), abs(dot))
     s_point = pts["C'"] + (pts["C'"] - pts["B'"])
     tag = f"limit[a={a_small:g}]"
-    return VerificationSummary(_Checks((
+    return VerificationSummary(_Checks([("", (
         (f"{tag} perpendicular", between, math.pi / 2.0, tol, "unsigned"),
         (f"{tag} dist[I_a, S]", pts["I_a"].distance_to(s_point) / side, 0.0, tol, "unsigned"),
         (f"{tag} dist[J_b, S]", pts["J_b"].distance_to(s_point) / side, 0.0, tol, "unsigned"),
-    )))
+    ))]))
 
 
 def limit_sequence(inner: Triangle | None = None) -> VerificationSummary:
@@ -375,23 +382,11 @@ def limit_sequence(inner: Triangle | None = None) -> VerificationSummary:
     probes (zero when the deviations are non-increasing).
     """
     inner = inner or equilateral_triangle()
-    checks = _Checks()
-    deviations: list[float] = []
-    for a_small in LIMIT_DEFAULT_VALUES:
-        probe = check_limit_perpendicular(a_small, inner).checks
-        checks._extend("", probe)
-        deviations.append(probe[0].abs_error)
+    probes = [check_limit_perpendicular(a_small, inner).checks for a_small in LIMIT_DEFAULT_VALUES]
+    deviations = [probe[0].abs_error for probe in probes]
     worst_increase = max(later - earlier for earlier, later in zip(deviations, deviations[1:]))
-    checks._extend("", _Checks([("limit monotone", max(0.0, worst_increase), 0.0, 0.0, "unsigned")]))
-    return VerificationSummary(checks)
-
-
-def _seeded(seed: int) -> random.Random:
-    """The battery's generator; it draws only through ``uniform``, whose
-    stream for a given seed is stable across Python versions."""
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    return random.Random(seed)
+    monotone = ("limit monotone", max(0.0, worst_increase), 0.0, 0.0, "unsigned")
+    return VerificationSummary(_Checks([("", chain(*(probe._rows() for probe in probes), [monotone]))]))
 
 
 def _sample_triples(rng: random.Random, n: int) -> tuple[AngleTriple, ...]:
@@ -448,23 +443,27 @@ def run_battery(samples: int = 100, seed: int = DEFAULT_SEED, tol: float = ANGLE
     checks keep their own tolerances.
     """
     samples, seed = index(samples), index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     inner = equilateral_triangle()
-    rng = _seeded(seed)
+    # The battery draws only through ``uniform``, whose stream for a given
+    # seed is stable across Python versions.
+    rng = random.Random(seed)
     triples = _sample_triples(rng, samples)
-    checks = _Checks()
-    for number, angles in enumerate(triples):
-        prefix = f"s{number:04d}/"
-        cfg = construct(inner, angles)
-        checks._extend(prefix, check_angle_identities(cfg, tol).checks)
-        checks._extend(prefix, check_isosceles_arcs(cfg).checks)
-        checks._extend(prefix, check_outer_angles(cfg, tol).checks)
-        triangle = random_triangle(rng)
-        trisected = morley_triangle(triangle)
-        theta, scale, shift = random_similarity(rng)
-        checks._extend(prefix, VerificationSummary((
-            check_roundtrip(inner, angles, tol),
-            check_equilateral_forward(trisected, tol),
-            check_similarity_invariance(triangle, trisected, theta, scale, shift, tol),
-        )).checks)
-    checks._extend("", limit_sequence(inner).checks)
-    return VerificationSummary(checks, seed, samples)
+
+    def parts():
+        for number, angles in enumerate(triples):
+            cfg = construct(inner, angles)
+            summaries = check_angle_identities(cfg, tol), check_isosceles_arcs(cfg), check_outer_angles(cfg, tol)
+            triangle = random_triangle(rng)
+            trisected = morley_triangle(triangle)
+            theta, scale, shift = random_similarity(rng)
+            singles = map(CheckReport._values, (
+                check_roundtrip(inner, angles, tol),
+                check_equilateral_forward(trisected, tol),
+                check_similarity_invariance(triangle, trisected, theta, scale, shift, tol),
+            ))
+            yield f"s{number:04d}/", chain(*(summary.checks._rows() for summary in summaries), singles)
+        yield "", limit_sequence(inner).checks._rows()
+
+    return VerificationSummary(_Checks(parts()), seed, samples)

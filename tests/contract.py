@@ -12,6 +12,10 @@ command prints, writes or returns shows as a diff of tests/corpus.json.
 To rewrite the corpus, from the repository root:
 
     PYTHONPATH=src python tests/contract.py
+
+Before it writes, the script prints each case whose outcome moved from
+the committed corpus (its name, the field, and the old and new values),
+then each case added or removed; on an unchanged tree it prints none.
 """
 
 from __future__ import annotations
@@ -203,12 +207,37 @@ def cases(documents: dict[str, str]) -> list[dict[str, object]]:
     return out
 
 
+def _shown(case: dict, field: str) -> str:
+    return json.dumps(case[field]) if field in case else "(none)"
+
+
+def moves(old: list[dict], new: list[dict]) -> list[str]:
+    """A line for each field of a case in both ``old`` and ``new`` whose
+    value differs between them, with the old and new values, then one for
+    each case that ``new`` adds and each that it drops, in corpus order."""
+    before = {case["name"]: case for case in old}
+    after = {case["name"]: case for case in new}
+    lines = []
+    for name, case in after.items():
+        # An added case is compared with itself, so it moves nothing.
+        was = before.get(name, case)
+        for field in dict.fromkeys([*was, *case]):
+            if (old_value := _shown(was, field)) != (new_value := _shown(case, field)):
+                lines.append(f"moved {name}: {field} {old_value} -> {new_value}")
+    lines += [f"added {name}" for name in after if name not in before]
+    lines += [f"removed {name}" for name in before if name not in after]
+    return lines
+
+
 def regenerate() -> None:
     documents = _documents()
     corpus = []
     for case in cases(documents):
         with TemporaryDirectory() as directory:
             corpus.append({**case, **run(case, documents, Path(directory))})
+    old = json.loads(CORPUS.read_text())["cases"] if CORPUS.exists() else []
+    for line in moves(old, corpus):
+        print(line)
     CORPUS.write_text(json.dumps({"documents": documents, "cases": corpus}, indent=1) + "\n")
     print(f"{len(corpus)} cases written to {CORPUS}")
 

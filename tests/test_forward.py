@@ -212,6 +212,39 @@ class TestApplySimilarity:
         assert worst <= 1e-12 * t.scale()
 
 
+def _mapped(t: Triangle, sx: float, sy: float) -> Triangle:
+    return Triangle(*(Point(sx * p.x, sy * p.y) for p in t.vertices))
+
+
+def _hex(t: Triangle) -> list[str]:
+    """Every vertex coordinate as hex, so that -0.0 and 0.0 differ."""
+    return [v.hex() for p in t.vertices for v in (p.x, p.y)]
+
+
+class TestExactReflections:
+    """Negating a coordinate is exact in floating point, so trisecting
+    commutes bit for bit with the mirror (x, y) -> (x, -y) and the point
+    reflection (x, y) -> (-x, -y), at any power-of-two scale; where the
+    original raises, its image raises the same error type.  Swapping x
+    with y and the quarter turn do not commute yet."""
+
+    @pytest.mark.parametrize("sx, sy", [(1.0, -1.0), (-1.0, -1.0)], ids=["mirror", "point-reflection"])
+    def test_morley_triangle(self, sx, sy):
+        rng = random.Random(29)
+        needle = Triangle(Point(0.0, 0.0), Point(1.0, 0.0), Point(2.0, 1e-8))
+        for k in (-900, 0, 40, 50, 900):
+            scale = math.ldexp(1.0, k)
+            for t in [_mapped(needle, scale, scale), *(_mapped(random_triangle(rng), scale, scale) for _ in range(100))]:
+                try:
+                    want = _hex(_mapped(morley_triangle(t), sx, sy))
+                except (GeometryError, ZeroDivisionError) as exc:
+                    with pytest.raises((GeometryError, ZeroDivisionError)) as info:
+                        morley_triangle(_mapped(t, sx, sy))
+                    assert type(info.value) is type(exc)
+                    continue
+                assert _hex(morley_triangle(_mapped(t, sx, sy))) == want
+
+
 def test_imports_only_the_kernel_and_the_stdlib():
     # The oracle is a witness for the construction only while it shares
     # none of morley.inverse's code.

@@ -326,30 +326,46 @@ class TestConstructSweep:
         assert cfg.named_points()["A'"] is p
 
 
-def _figure(cfg):
+def _figure(cfg, sx=1.0, sy=1.0):
     """Every coordinate of the named points, then each circle's center
-    and radius."""
-    values = [v for p in cfg.named_points().values() for v in (p.x, p.y)]
+    and radius, with each x multiplied by ``sx`` and each y by ``sy``."""
+    values = [v for p in cfg.named_points().values() for v in (sx * p.x, sy * p.y)]
     for circle in cfg.circles:
-        values += (circle.center.x, circle.center.y, circle.radius)
+        values += (sx * circle.center.x, sy * circle.center.y, circle.radius)
     return values
 
 
+# The maps (x, y) -> (sx * x, sy * y) that construct commutes with bit for
+# bit: the identity, the mirror in the x axis and the point reflection.
+# Swapping x with y and the quarter turn do not commute yet.
+EXACT_REFLECTIONS = ((1.0, 1.0), (1.0, -1.0), (-1.0, -1.0))
+
+
 class TestPowerOfTwoScaling:
-    """Scaling the inner side by 2**k is exact in floating point, so the
-    whole figure scales by exactly 2**k, and a triple refused at side 1
-    is refused with the same error at side 2**k."""
+    """Scaling the inner side by 2**k, and negating a coordinate, are
+    exact in floating point, so the whole figure scales by exactly 2**k
+    and is reflected as its input is, and a triple refused at side 1 is
+    refused with the same error at side 2**k, reflected or not."""
 
     @settings(max_examples=300, deadline=None)
-    @given(a=st.floats(MIN_ANGLE, THIRD), b=st.floats(MIN_ANGLE, THIRD), k=st.integers(-1000, 1000))
-    @example(a=math.pi / 6.0, b=math.radians(20.0), k=-1000)
-    @example(a=MIN_ANGLE, b=MIN_ANGLE, k=1000)
-    def test_construct(self, a, b, k):
+    @given(
+        a=st.floats(MIN_ANGLE, THIRD),
+        b=st.floats(MIN_ANGLE, THIRD),
+        k=st.integers(-1000, 1000),
+        g=st.sampled_from(EXACT_REFLECTIONS),
+    )
+    @example(a=math.pi / 6.0, b=math.radians(20.0), k=-1000, g=(1.0, 1.0))
+    @example(a=MIN_ANGLE, b=MIN_ANGLE, k=1000, g=(1.0, 1.0))
+    @example(a=math.pi / 6.0 - 1e-12, b=math.radians(20.0), k=-1000, g=(1.0, -1.0))
+    @example(a=math.pi / 6.0 + 1e-12, b=MIN_ANGLE, k=1000, g=(-1.0, -1.0))
+    @example(a=MIN_ANGLE, b=MIN_ANGLE, k=0, g=(1.0, -1.0))
+    def test_construct(self, a, b, k, g):
         try:
             angles = AngleTriple(a, b, THIRD - a - b)
         except InvalidAngles:
             assume(False)
-        scaled = equilateral_triangle(math.ldexp(1.0, k))
+        sx, sy = g
+        scaled = Triangle(*(Point(sx * p.x, sy * p.y) for p in equilateral_triangle(math.ldexp(1.0, k)).vertices))
         try:
             cfg = construct(equilateral_triangle(), angles)
         except GeometryError as exc:
@@ -358,5 +374,5 @@ class TestPowerOfTwoScaling:
             assert (type(info.value), str(info.value)) == (type(exc), str(exc))
             return
         # Compared as hex, so that -0.0 and 0.0 differ.
-        want = [math.ldexp(v, k).hex() for v in _figure(cfg)]
+        want = [math.ldexp(v, k).hex() for v in _figure(cfg, sx, sy)]
         assert [v.hex() for v in _figure(construct(scaled, angles))] == want

@@ -483,7 +483,7 @@ def _reference_battery(samples, seed, tol):
     """run_battery with every check recomputing what it needs, as before
     the battery shared each sample's trisection: the forward checks each
     trisect the random triangle, and reports are renamed into new ones,
-    so each family is read from the name, not the prefix column."""
+    whose sample prefixes the summary splits off into its prefix column."""
     inner = equilateral_triangle()
     rng = random.Random(seed)
     checks = []
@@ -530,7 +530,7 @@ def test_battery_matches_reference_sweep(seed, tol):
     assert summary.checks[3:9] == reference.checks[3:9]
     assert tuple(reversed(summary.checks)) == tuple(reversed(reference.checks))
     assert summary_document(summary, full=True) == summary_document(reference, full=True)
-    # A battery takes each family from the prefix column, a hand-built
-    # summary from the name's sample prefix.
+    # Both summaries hold each sample prefix in the prefix column and
+    # read each family from the name column.
     assert summary.families() == reference.families()
     assert summary_document(summary) == summary_document(reference)
