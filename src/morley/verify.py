@@ -21,7 +21,7 @@ cannot equal a negative number, so the measurement orients the angle
 by the inner triangle's winding instead.  All other identities hold as
 plain unsigned angles for every admissible triple.  A check of one
 result returns a CheckReport; the others measure into rows, which a
-summary keeps as columns, building a CheckReport only when one is read.
+summary folds into verdicts, building a CheckReport only when one is read.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ import math
 import random
 import re
 from array import array
-from collections.abc import Iterable, Sequence
-from itertools import chain, starmap
-from operator import add, index
+from collections.abc import Callable, Iterable, Sequence
+from itertools import chain
+from operator import index
 
 from .forward import apply_similarity, morley_triangle, side_spread
 from .inverse import (
@@ -100,42 +100,52 @@ class CheckReport(Record):
 
 
 class _Checks(Sequence):
-    """An immutable sequence of CheckReport kept as columns, made once from
-    parts (prefix, rows), each row (name, measured, expected, tol, mode) taking
-    its part's prefix (empty, or a sample's ``s<digits>/``).  Prefixes, names
-    and modes are shared strings, the other values float arrays.  A report is
-    built only when read; the sequence equals, hashes and prints as a tuple."""
+    """A sequence of CheckReport whose parts (prefix, rows) ``source(*args)``
+    gives, each row (name, measured, expected, tol, mode) taking its part's
+    prefix (empty, or a sample's ``s<digits>/``).  Made, it folds the rows
+    into each family's count, failed count and worst row, and the failing
+    rows; reading a check calls the source again.  It equals, hashes and
+    prints as a tuple."""
 
-    __slots__ = ("_columns",)
+    __slots__ = ("_source", "_args", "_families", "_failing")
 
-    def __init__(self, parts: Iterable[tuple[str, Iterable[tuple[str, float, float, float, str]]]]) -> None:
-        prefixes, *columns = self._columns = [], [], array("d"), array("d"), array("d"), []
-        for prefix, rows in parts:
-            rows = tuple(rows)
-            prefixes += [prefix] * len(rows)
-            for column, values in zip(columns, zip(*rows)):
-                column.extend(values)
+    def __init__(self, source: Callable[..., Iterable[tuple[str, Iterable[tuple]]]], *args) -> None:
+        self._source, self._args = source, args
+        # family -> [count, failed, worst's prefix, worst row, its rank]; a larger rank is worse.
+        families, failing = self._families, self._failing = {}, []
+        for prefix, rows in source(*args):
+            for row in rows:
+                error = abs(row[1] - row[2])
+                # CheckReport.passed, from the error already in hand.
+                failed = not error <= row[3]
+                rank = (failed, error != error, error)
+                entry = families.setdefault(row[0], [0, 0, prefix, row, rank])
+                entry[0] += 1
+                entry[1] += failed
+                if rank > entry[4]:
+                    entry[2:] = prefix, row, rank
+                if failed:
+                    failing.append((prefix, row))
 
     def _rows(self) -> Iterable[tuple[str, float, float, float, str]]:
-        """Each check's (name, measured, expected, tol, mode), its prefix joined to its name."""
-        prefixes, names, *fields = self._columns
-        return zip(map(add, prefixes, names), *fields)
-
-    def _failing(self) -> list[int]:
-        rows = enumerate(zip(*self._columns[2:5]))
-        return [i for i, (measured, expected, tol) in rows if not abs(measured - expected) <= tol]
+        """Each row as its part gave it, without the prefix, which a check function's part lacks."""
+        return chain.from_iterable(rows for _, rows in self._source(*self._args))
 
     def __len__(self) -> int:
-        return len(self._columns[0])
+        return sum(entry[0] for entry in self._families.values())
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(map(self.__getitem__, range(*i.indices(len(self)))))
-        prefix, name, *fields = (column[i] for column in self._columns)
-        return CheckReport(prefix + name, *fields)
+        return tuple(self)[i]
 
     def __iter__(self):
-        return starmap(CheckReport, self._rows())
+        return (_report(prefix, *row) for prefix, rows in self._source(*self._args) for row in rows)
+
+    # Sequence's own __reversed__ and index read self[i], each a sweep.
+    def __reversed__(self):
+        return reversed(tuple(self))
+
+    def index(self, value, start=0, stop=None) -> int:
+        return Sequence.index(tuple(self), value, start, stop)
 
     def __eq__(self, other: object) -> bool:
         return (self is other or tuple(self) == tuple(other)) if isinstance(other, (tuple, _Checks)) else NotImplemented
@@ -148,53 +158,48 @@ class _Checks(Sequence):
 
 
 class VerificationSummary(Record):
-    """A batch of checks, kept as a _Checks made once, with the sweep
-    parameters that made it; verdicts read columns.  Reports passed in become
-    rows, a name's ``s<digits>/`` sample prefix going to the prefix column."""
+    """A batch of checks, kept as a _Checks, with the sweep parameters that
+    made it; verdicts read the fold.  Reports passed in become rows kept in a
+    list, a name's ``s<digits>/`` sample prefix going to its part's prefix."""
 
     __slots__ = ("checks", "seed", "samples")
 
     def __init__(self, checks: Iterable[CheckReport], seed: int = 0, samples: int = 1) -> None:
-        _set_field(self, "checks", checks if checks.__class__ is _Checks else _Checks(map(_report_part, checks)))
+        _set_field(self, "checks", checks if type(checks) is _Checks else _Checks(iter, [*map(_report_part, checks)]))
         _set_field(self, "seed", seed)
         _set_field(self, "samples", samples)
 
     @property
     def all_pass(self) -> bool:
-        return not self.checks._failing()
+        return not self.checks._failing
 
     def failures(self) -> tuple[CheckReport, ...]:
-        return tuple(map(self.checks.__getitem__, self.checks._failing()))
+        return tuple(_report(prefix, *row) for prefix, row in self.checks._failing)
 
     def families(self) -> tuple[tuple[str, int, int, CheckReport], ...]:
         """``(family, count, failed, worst)`` for each check family, in
         order of first appearance.
 
         A check's family is its name less its ``s<digits>/`` sample
-        prefix, which the prefix column holds.  ``worst`` is the check
+        prefix, which its part's prefix holds.  ``worst`` is the check
         with the largest ``abs_error``, a failing check outranking every
         passing one and, among failing ones, a NaN error the largest; a
         tie goes to the first in report order.
         """
-        # family -> [count, failed, index of worst, its rank]; a larger rank is worse.
-        seen: dict[str, list] = {}
-        for i, (name, measured, expected, tol) in enumerate(zip(*self.checks._columns[1:5])):
-            error = abs(measured - expected)
-            # CheckReport.passed, from the error already in hand.
-            failed = not error <= tol
-            rank = (failed, error != error, error)
-            entry = seen.setdefault(name, [0, 0, i, rank])
-            entry[0] += 1
-            entry[1] += failed
-            if rank > entry[3]:
-                entry[2:] = i, rank
-        return tuple((family, count, failed, self.checks[i]) for family, (count, failed, i, _) in seen.items())
+        return tuple((family, count, failed, _report(prefix, *row))
+                     for family, (count, failed, prefix, row, _) in self.checks._families.items())
+
+
+def _report(prefix: str, name: str, measured: float, expected: float, tol: float, mode: str) -> CheckReport:
+    """A row as a CheckReport, its prefix joined to its name, its numbers floats."""
+    return CheckReport(prefix + name, float(measured), float(expected), float(tol), mode)
 
 
 def _report_part(report: CheckReport) -> tuple[str, tuple[tuple[str, float, float, float, str]]]:
-    """A report as a _Checks part of one row, a sample prefix split off its name."""
+    """A report as a _Checks part of one row, a sample prefix split off its
+    name and its numbers made floats as a float array makes them."""
     cut = _SAMPLE_PREFIX.match(report.name).end()
-    return report.name[:cut], ((report.name[cut:], *CheckReport._values(report)[1:]),)
+    return report.name[:cut], ((report.name[cut:], *array("d", CheckReport._values(report)[1:4]), report.mode),)
 
 
 def polygon_interior_angles(points: Sequence[Point]) -> list[float]:
@@ -269,7 +274,7 @@ def check_angle_identities(cfg: MorleyConfiguration, tol: float = ANGLE_TOL) -> 
         expected = 3.0 * getattr(cfg.angles, param)
         measured = angle_at(pts[vertex], pts[p], pts[q])
         rows.append((names[4], measured, expected, tol, "unsigned"))
-    return VerificationSummary(_Checks([("", rows)]))
+    return VerificationSummary(_Checks(iter, [("", rows)]))
 
 
 def check_isosceles_arcs(cfg: MorleyConfiguration) -> VerificationSummary:
@@ -285,14 +290,14 @@ def check_isosceles_arcs(cfg: MorleyConfiguration) -> VerificationSummary:
         left = pts[apex].distance_to(pts[i_name])
         right = pts[apex].distance_to(pts[j_name])
         rows.append((names[5], left / right, 1.0, ISOSCELES_RTOL, "unsigned"))
-    return VerificationSummary(_Checks([("", rows)]))
+    return VerificationSummary(_Checks(iter, [("", rows)]))
 
 
 def check_outer_angles(cfg: MorleyConfiguration, tol: float = ANGLE_TOL) -> VerificationSummary:
     """Interior angles of the constructed triangle against (3a, 3b, 3c)."""
     triples = zip(_OUTER_ANGLE_NAMES, cfg.outer.angles(), cfg.angles.as_tuple())
-    rows = ((name, measured, 3.0 * angle, tol, "unsigned") for name, measured, angle in triples)
-    return VerificationSummary(_Checks([("", rows)]))
+    rows = [(name, measured, 3.0 * angle, tol, "unsigned") for name, measured, angle in triples]
+    return VerificationSummary(_Checks(iter, [("", rows)]))
 
 
 def check_roundtrip(inner: Triangle, angles: AngleTriple, tol: float = ANGLE_TOL) -> CheckReport:
@@ -305,28 +310,18 @@ def check_roundtrip(inner: Triangle, angles: AngleTriple, tol: float = ANGLE_TOL
     """
     cfg = construct(inner, angles)
     recovered = morley_triangle(cfg.outer)
-    scale = inner.scale()
-    worst = max(
-        u.distance_to(v)
-        for u, v in zip(cfg.inner.vertices, recovered.vertices)
-    )
-    return CheckReport("roundtrip", worst / scale, 0.0, tol)
+    worst = max(u.distance_to(v) for u, v in zip(cfg.inner.vertices, recovered.vertices))
+    return CheckReport("roundtrip", worst / inner.scale(), 0.0, tol)
 
 
 def check_equilateral_forward(trisected: Triangle, tol: float = ANGLE_TOL) -> CheckReport:
     """Side spread of ``trisected``, the trisector triangle
     (``morley_triangle``) of an arbitrary triangle."""
-    spread = side_spread(trisected)
-    return CheckReport("forward equilateral", spread, 0.0, tol)
+    return CheckReport("forward equilateral", side_spread(trisected), 0.0, tol)
 
 
 def check_similarity_invariance(
-    triangle: Triangle,
-    trisected: Triangle,
-    theta: float,
-    scale: float,
-    translation: Point,
-    tol: float = ANGLE_TOL,
+    triangle: Triangle, trisected: Triangle, theta: float, scale: float, translation: Point, tol: float = ANGLE_TOL
 ) -> CheckReport:
     """Trisecting commutes with rotating, scaling and translating.
 
@@ -338,9 +333,8 @@ def check_similarity_invariance(
     moved = apply_similarity(triangle, theta, scale, translation)
     direct = morley_triangle(moved)
     pushed = apply_similarity(trisected, theta, scale, translation)
-    ref = moved.scale()
     worst = max(u.distance_to(v) for u, v in zip(direct.vertices, pushed.vertices))
-    return CheckReport("similarity", worst / ref, 0.0, tol)
+    return CheckReport("similarity", worst / moved.scale(), 0.0, tol)
 
 
 def check_limit_perpendicular(a_small: float, inner: Triangle | None = None) -> VerificationSummary:
@@ -366,7 +360,7 @@ def check_limit_perpendicular(a_small: float, inner: Triangle | None = None) -> 
     between = math.atan2(abs(cross), abs(dot))
     s_point = pts["C'"] + (pts["C'"] - pts["B'"])
     tag = f"limit[a={a_small:g}]"
-    return VerificationSummary(_Checks([("", (
+    return VerificationSummary(_Checks(iter, [("", (
         (f"{tag} perpendicular", between, math.pi / 2.0, tol, "unsigned"),
         (f"{tag} dist[I_a, S]", pts["I_a"].distance_to(s_point) / side, 0.0, tol, "unsigned"),
         (f"{tag} dist[J_b, S]", pts["J_b"].distance_to(s_point) / side, 0.0, tol, "unsigned"),
@@ -382,11 +376,12 @@ def limit_sequence(inner: Triangle | None = None) -> VerificationSummary:
     probes (zero when the deviations are non-increasing).
     """
     inner = inner or equilateral_triangle()
-    probes = [check_limit_perpendicular(a_small, inner).checks for a_small in LIMIT_DEFAULT_VALUES]
-    deviations = [probe[0].abs_error for probe in probes]
+    probes = [[*check_limit_perpendicular(a_small, inner).checks._rows()] for a_small in LIMIT_DEFAULT_VALUES]
+    # Each probe's first row is its perpendicularity check.
+    deviations = [abs(measured - expected) for (_, measured, expected, *_), *_ in probes]
     worst_increase = max(later - earlier for earlier, later in zip(deviations, deviations[1:]))
     monotone = ("limit monotone", max(0.0, worst_increase), 0.0, 0.0, "unsigned")
-    return VerificationSummary(_Checks([("", chain(*(probe._rows() for probe in probes), [monotone]))]))
+    return VerificationSummary(_Checks(iter, [("", [*chain(*probes), monotone])]))
 
 
 def _sample_triples(rng: random.Random, n: int) -> tuple[AngleTriple, ...]:
@@ -429,6 +424,28 @@ def random_similarity(rng: random.Random) -> tuple[float, float, Point]:
     return theta, scale, shift
 
 
+def _battery_parts(samples: int, seed: int, tol: float) -> Iterable[tuple[str, Iterable[tuple]]]:
+    """run_battery's parts: each sample's rows under its ``s<index>/`` prefix,
+    then the limit probes'.  The same arguments give the same rows."""
+    inner = equilateral_triangle()
+    # The battery draws only through ``uniform``, whose stream for a given
+    # seed is stable across Python versions.
+    rng = random.Random(seed)
+    for number, angles in enumerate(_sample_triples(rng, samples)):
+        cfg = construct(inner, angles)
+        summaries = check_angle_identities(cfg, tol), check_isosceles_arcs(cfg), check_outer_angles(cfg, tol)
+        triangle = random_triangle(rng)
+        trisected = morley_triangle(triangle)
+        theta, scale, shift = random_similarity(rng)
+        singles = map(CheckReport._values, (
+            check_roundtrip(inner, angles, tol),
+            check_equilateral_forward(trisected, tol),
+            check_similarity_invariance(triangle, trisected, theta, scale, shift, tol),
+        ))
+        yield f"s{number:04d}/", chain(*(summary.checks._rows() for summary in summaries), singles)
+    yield "", limit_sequence(inner).checks._rows()
+
+
 def run_battery(samples: int = 100, seed: int = DEFAULT_SEED, tol: float = ANGLE_TOL) -> VerificationSummary:
     """The full sweep: per-sample identity batteries plus limit probes.
 
@@ -436,34 +453,13 @@ def run_battery(samples: int = 100, seed: int = DEFAULT_SEED, tol: float = ANGLE
     on the unit equilateral triangle and runs every per-configuration
     check; it also trisects an unrelated random triangle once and checks
     that result for equilaterality and similarity commutation.  A
-    sample's 24 checks share one prefix, ``s<index>/``, in the columns.
-    ``samples`` and ``seed`` are whole numbers.  ``tol`` goes to every
-    angle and length check: absolute in radians for the angles, relative
-    to the figure's scale for the lengths.  The isosceles and limit
-    checks keep their own tolerances.
+    sample's 24 checks share one prefix, ``s<index>/``; reading the checks
+    runs the sweep again.  ``samples`` and ``seed`` are whole numbers.
+    ``tol`` goes to every angle and length check: absolute in radians for
+    the angles, relative to the figure's scale for the lengths.  The
+    isosceles and limit checks keep their own tolerances.
     """
     samples, seed = index(samples), index(seed)
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    inner = equilateral_triangle()
-    # The battery draws only through ``uniform``, whose stream for a given
-    # seed is stable across Python versions.
-    rng = random.Random(seed)
-    triples = _sample_triples(rng, samples)
-
-    def parts():
-        for number, angles in enumerate(triples):
-            cfg = construct(inner, angles)
-            summaries = check_angle_identities(cfg, tol), check_isosceles_arcs(cfg), check_outer_angles(cfg, tol)
-            triangle = random_triangle(rng)
-            trisected = morley_triangle(triangle)
-            theta, scale, shift = random_similarity(rng)
-            singles = map(CheckReport._values, (
-                check_roundtrip(inner, angles, tol),
-                check_equilateral_forward(trisected, tol),
-                check_similarity_invariance(triangle, trisected, theta, scale, shift, tol),
-            ))
-            yield f"s{number:04d}/", chain(*(summary.checks._rows() for summary in summaries), singles)
-        yield "", limit_sequence(inner).checks._rows()
-
-    return VerificationSummary(_Checks(parts()), seed, samples)
+    return VerificationSummary(_Checks(_battery_parts, samples, seed, tol), seed, samples)

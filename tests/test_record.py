@@ -60,7 +60,8 @@ def examples():
         report,
         VerificationSummary([report], seed=7, samples=1),
         TrisectionScene.from_triangle(Triangle(Point(0, 0), Point(4, 0), Point(0, 3))),
-        # A battery's checks, kept as columns; its own id keeps the ids above.
+        # A battery's checks, kept as a fold and read by running the sweep
+        # again; its own id keeps the ids above.
         pytest.param(run_battery(2, 1), id="VerificationSummary-battery"),
     ]
 

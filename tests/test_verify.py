@@ -77,6 +77,18 @@ class TestCheckReport:
         assert (summary.seed, summary.samples) == (9, 3)
         assert summary.checks == tuple(reports)
 
+    def test_hand_built_summary_reads_floats(self):
+        # A report's numbers become floats in a summary, and a report whose
+        # numbers are not numbers fails when the summary is made.
+        summary = VerificationSummary([CheckReport("x", 1, True, 0)])
+        report = summary.checks[0]
+        assert (report.measured, report.expected, report.tol) == (1.0, 1.0, 0.0)
+        assert all(type(value) is float for value in (report.measured, report.expected, report.tol))
+        full = summary_document(summary, full=True)
+        assert '"measured": 1.0,' in full and '"expected": 1.0,' in full and '"tol": 0.0,' in full
+        with pytest.raises(TypeError):
+            VerificationSummary([CheckReport("x", "1", 0.0, 0.0)])
+
     def test_all_pass_is_derived_from_checks(self):
         passing, failing = CheckReport("a", 0.0, 0.0, 1.0), CheckReport("b", 5.0, 0.0, 1.0)
         assert VerificationSummary.__slots__ == ("checks", "seed", "samples")
@@ -404,17 +416,36 @@ class TestBattery:
             run_battery(samples=2, seed=2.5)
 
     def test_keeps_few_bytes_per_check(self):
-        # The checks are kept as columns: shared names and float arrays.
-        gc.collect()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            summary = run_battery(200, 3)
+        # A summary keeps a fold of its checks, not the checks: each
+        # family's count and worst row, and the failing rows.
+        def kept(samples):
             gc.collect()
-            kept = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-        assert kept / len(summary.checks) <= 100
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                summary = run_battery(samples, 3)
+                gc.collect()
+                return tracemalloc.get_traced_memory()[0] - before, summary
+            finally:
+                tracemalloc.stop()
+
+        (few, _), (many, summary) = kept(20), kept(200)
+        assert len(summary.checks) == 200 * 24 + 10
+        assert many - few <= 4096
+
+    def test_reads_the_checks_in_one_sweep_each(self, monkeypatch):
+        # A battery keeps a fold, not its checks: its verdicts run no sweep,
+        # and each read of its checks runs one, where Sequence's own
+        # reversed and index would run one per check.
+        summary = run_battery(samples=2, seed=7)
+        calls = _count_calls(monkeypatch, ("construct",))
+        assert (summary.all_pass, len(summary.checks), len(summary.families()), summary.failures()) == (True, 58, 34, ())
+        assert not calls
+        last = summary.checks[-1]
+        assert tuple(reversed(summary.checks))[0] == last
+        assert summary.checks.index(last) == 57
+        # Per sweep: two configurations per sample, then the three limit probes.
+        assert calls["construct"] == 3 * (2 * 2 + 3)
 
     def test_trisects_each_triangle_once(self, monkeypatch):
         calls = _count_calls(monkeypatch, ("construct", "morley_triangle"))
@@ -463,7 +494,8 @@ class TestBattery:
     def test_builds_each_report_once(self, monkeypatch):
         # The checks of several results measure into rows, and only the
         # three that return a report build one; the prefixed names are
-        # never built as reports.
+        # never built as reports, nor the limit probes, whose deviations
+        # limit_sequence reads from their rows.
         calls = Counter()
         init = CheckReport.__init__
 
@@ -473,9 +505,9 @@ class TestBattery:
 
         monkeypatch.setattr(CheckReport, "__init__", counting)
         summary = run_battery(samples=3, seed=7)
-        # 3 reports per sample, and one per limit probe, read for its
-        # deviation; the summary holds 24 checks per sample and 10 limit checks.
-        assert calls["CheckReport"] == 3 * 3 + 3
+        # 3 reports per sample; the summary holds 24 checks per sample and
+        # 10 limit checks.
+        assert calls["CheckReport"] == 3 * 3
         assert len(summary.checks) == 3 * 24 + 10
 
 
@@ -483,7 +515,7 @@ def _reference_battery(samples, seed, tol):
     """run_battery with every check recomputing what it needs, as before
     the battery shared each sample's trisection: the forward checks each
     trisect the random triangle, and reports are renamed into new ones,
-    whose sample prefixes the summary splits off into its prefix column."""
+    whose sample prefixes the summary splits off into each row's part."""
     inner = equilateral_triangle()
     rng = random.Random(seed)
     checks = []
@@ -530,7 +562,7 @@ def test_battery_matches_reference_sweep(seed, tol):
     assert summary.checks[3:9] == reference.checks[3:9]
     assert tuple(reversed(summary.checks)) == tuple(reversed(reference.checks))
     assert summary_document(summary, full=True) == summary_document(reference, full=True)
-    # Both summaries hold each sample prefix in the prefix column and
-    # read each family from the name column.
+    # Both summaries hold each sample prefix apart from the name and
+    # fold each family by the name less its prefix.
     assert summary.families() == reference.families()
     assert summary_document(summary) == summary_document(reference)
