@@ -4,10 +4,12 @@ Build a triangle around an equilateral core and draw the construction
 
 Pick three positive angles summing to 60 degrees.  Starting from a unit
 equilateral triangle, the library erects one auxiliary circle over each
-side, places two points on each circle, and intersects three lines
-through those points.  The result is a triangle whose interior angles
-are exactly three times the chosen angles -- and whose trisectors meet
-at the equilateral triangle we started from.
+side and places two points on each circle.  Each outer vertex closes
+Conway's triangle over a side of the core: for vertex A, the side C'B'
+with angles b + 60 and c + 60 degrees at its ends.  The result is a
+triangle whose interior angles are exactly three times the chosen
+angles -- and whose trisectors meet at the equilateral triangle we
+started from.  Its sides pass through the placed points, as in the paper.
 """
 
 import math

@@ -33,7 +33,6 @@ from .inverse import (
     POINT_NAMES,
     AngleTriple,
     MorleyConfiguration,
-    _side_lines,
 )
 from .kernel import Circle, Point, Triangle
 from .verify import CheckReport, VerificationSummary
@@ -86,15 +85,14 @@ def parse_config_document(text: str) -> MorleyConfiguration:
 
     Arcs and side lines follow ARC_CHORD_NAMES and LINE_POINT_NAMES; the
     document's "chord", "lines", "inner" and "outer" entries only
-    describe those tables to other readers.  A side line through two
-    coincident points raises DegenerateLine, as construct does, and an
-    integer too large for a float raises ValueError naming where it is.
+    describe those tables to other readers.  An integer too large for a
+    float raises ValueError naming where it is.
     """
     data = json.loads(text)
     try:
         points = {name: Point(*data["points"][name]) for name in POINT_NAMES}
         arcs = data["arcs"]
-        cfg = MorleyConfiguration(
+        return MorleyConfiguration(
             angles=AngleTriple(*(data["angles"][key] for key in "abc")),
             inner=Triangle(*(points[name] for name in INNER_NAMES)),
             outer=Triangle(*(points[name] for name in OUTER_NAMES)),
@@ -107,8 +105,6 @@ def parse_config_document(text: str) -> MorleyConfiguration:
         if where is None:
             raise
         raise ValueError(f"{where} is an integer too large for a float") from None
-    _side_lines(points)
-    return cfg
 
 
 def _oversized_int(value: object, path: str) -> str | None:

@@ -11,8 +11,11 @@ A', B', C'.  This module constructs it directly:
 * On each arc, two points are placed just beyond the chord endpoints,
   offset along the circle by twice the matching angle: I_a and J_a on
   arc a, and likewise for arcs b and c.
-* The sides of ABC are the lines (I_a J_b), (I_b J_c), (I_c J_a), and
-  the vertices are their pairwise intersections.
+* Each vertex of ABC closes Conway's triangle over a side of A'B'C':
+  A C'B' has angle a at A, b + pi/3 at C' and c + pi/3 at B', and
+  cyclically, for every admissible triple.  The sides of ABC then run
+  through (I_a J_b), (I_b J_c), (I_c J_a), the paper's side lines,
+  whose two points close up as one parameter nears pi/6.
 
 The resulting configuration carries every named point of the figure so
 that it can be checked, serialized and drawn downstream.
@@ -23,9 +26,7 @@ from __future__ import annotations
 import math
 
 from .kernel import (
-    EPS_LENGTH,
     Circle,
-    DegenerateLine,
     GeometryError,
     Line,
     Point,
@@ -34,6 +35,7 @@ from .kernel import (
     _set_field,
     chord_arc_circle,
     intersect_lines,
+    orientation,
     rotate_about,
     signed_angle,
 )
@@ -75,12 +77,15 @@ def cyclic(names: str | tuple) -> tuple:
     return names, at_b, step(at_b)
 
 
-# Which named points span each arc's chord, which points define each
-# outer side line, and which outer vertices that line carries; each is
-# written for vertex A's arc or side, and cyclic gives the other two.
+# Which named points span each arc's chord, which points each outer side
+# line passes through, which outer vertices it carries, and the inner
+# vertices of each outer vertex's Conway triangle, each named with the
+# parameter that, plus pi/3, is the angle there.  Each is written for
+# vertex A's arc, side or triangle, and cyclic gives the other two.
 ARC_CHORD_NAMES = dict(cyclic(("a", ("C'", "B'"))))
 LINE_POINT_NAMES = dict(cyclic(("AB", ("I_a", "J_b"))))
 LINE_VERTEX_NAMES = dict(cyclic(("AB", ("A", "B"))))
+_CONWAY_NAMES = dict(cyclic(("A", (("C'", "b"), ("B'", "c")))))
 
 
 class InvalidAngles(GeometryError):
@@ -142,8 +147,8 @@ class MorleyConfiguration(Record):
     arc b over A'C', arc c over B'A'.  ``arc_points`` holds I_a, J_a,
     I_b, J_b, I_c, J_c in POINT_NAMES order; I_a and J_a sit on arc a
     beyond C' and B' respectively, and cyclically for the others.  The
-    outer side lines follow LINE_POINT_NAMES: AB = (I_a J_b), BC =
-    (I_b J_c), CA = (I_c J_a).
+    outer side lines pass through LINE_POINT_NAMES: AB through I_a and
+    J_b, BC through I_b and J_c, CA through I_c and J_a.
     """
 
     __slots__ = ("angles", "inner", "outer", "circles", "arc_points")
@@ -165,10 +170,6 @@ class MorleyConfiguration(Record):
     def named_points(self) -> dict[str, Point]:
         """All twelve labelled points of the figure, in POINT_NAMES order."""
         return dict(zip(POINT_NAMES, (*self.outer.vertices, *self.inner.vertices, *self.arc_points)))
-
-
-def _side_lines(points: dict[str, Point]) -> dict[str, Line]:
-    return {key: Line(points[p], points[q]) for key, (p, q) in LINE_POINT_NAMES.items()}
 
 
 def place_arc_points(p_near: Point, q_near: Point, circle: Circle, half_central: float) -> tuple[Point, Point]:
@@ -201,10 +202,8 @@ def construct(inner: Triangle, angles: AngleTriple) -> MorleyConfiguration:
     opposite inner.v1, inner.v2, inner.v3 respectively, meaning vertex
     A of the result sees side BC across inner vertex A', and so on.
 
-    Raises NotEquilateral for an unsuitable inner triangle and
-    DegenerateLine when the angle triple sits on the thin set where
-    two of the placed points coincide (one parameter equal to pi/6),
-    which leaves a side line undefined.
+    Every admissible triple builds the same way, one parameter at pi/6
+    included.  Raises NotEquilateral for an unsuitable inner triangle.
     """
     lengths = inner.side_lengths()
     side = max(lengths)
@@ -221,17 +220,14 @@ def construct(inner: Triangle, angles: AngleTriple) -> MorleyConfiguration:
         circles.append(circle)
         arc_points.extend(place_arc_points(p, q, circle, angle))
 
-    points = dict(zip(ARC_POINT_NAMES, arc_points))
-    for name, (p_name, q_name) in LINE_POINT_NAMES.items():
-        gap = points[p_name].distance_to(points[q_name])
-        if gap <= EPS_LENGTH * side:
-            raise DegenerateLine(
-                f"points defining side line {name} coincide (distance / side "
-                f"{gap / side:.3e} <= EPS_LENGTH {EPS_LENGTH:g}); the angle triple "
-                f"lies on the degenerate set with one angle equal to pi/6"
-            )
-    # Each vertex is the meet of the side line it starts and the one
-    # before it: A on AB and CA, B on BC and AB, C on CA and BC.
-    lines = list(_side_lines(points).values())
-    outer = Triangle(*(intersect_lines(lines[k], lines[k - 1]) for k in range(3)))
-    return MorleyConfiguration(angles, inner, outer, tuple(circles), tuple(arc_points))
+    # Turned by +turn about C', the ray C'B' swings away from A', and so
+    # does the ray B'C' turned by -turn about B'.
+    turn = orientation(*inner.vertices)
+    outer = []
+    for (p_name, p_angle), (q_name, q_angle) in _CONWAY_NAMES.values():
+        p, q = vertices[p_name], vertices[q_name]
+        outer.append(intersect_lines(
+            Line(p, rotate_about(q, p, turn * (getattr(angles, p_angle) + math.pi / 3.0))),
+            Line(q, rotate_about(p, q, -turn * (getattr(angles, q_angle) + math.pi / 3.0))),
+        ))
+    return MorleyConfiguration(angles, inner, Triangle(*outer), tuple(circles), tuple(arc_points))

@@ -254,12 +254,14 @@ def intersect_lines(l1: Line, l2: Line) -> Point:
 
 
 def rotate_about(p: Point, center: Point, theta: float) -> Point:
-    """Rotate p about center by theta (counter-clockwise positive)."""
+    """Rotate p about center by theta (counter-clockwise positive); each
+    coordinate sums its products before the center, so the result commutes
+    bit for bit with negating or swapping coordinates."""
     c = math.cos(theta)
     s = math.sin(theta)
     cx, cy = center.x, center.y
     dx, dy = p.x - cx, p.y - cy
-    return Point(cx + c * dx - s * dy, cy + s * dx + c * dy)
+    return Point(cx + (c * dx - s * dy), cy + (s * dx + c * dy))
 
 
 def _ray_products(vertex: Point, p: Point, q: Point) -> tuple[float, float]:

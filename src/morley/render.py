@@ -189,8 +189,8 @@ def _render_config(cfg: MorleyConfiguration, arcs: bool, labels: bool) -> str:
             paths.append(f"M {_f(start.x)} {_f(-start.y)} A {r} {r} 0 1 {sweep} {_f(end.x)} {_f(-end.y)}")
             extremes.extend(_arc_extremes(circle, start, end, -short_way))
     carriers = [
-        _carrier_segment(points[i_name], points[j_name], [points[name] for name in LINE_VERTEX_NAMES[key]])
-        for key, (i_name, j_name) in LINE_POINT_NAMES.items()
+        _carrier_segment(points[p_name], points[q_name], [points[name] for name in LINE_POINT_NAMES[key]])
+        for key, (p_name, q_name) in LINE_VERTEX_NAMES.items()
     ]
 
     def draw(width: float, radius: float) -> list[str]:

@@ -48,12 +48,12 @@ class TestConstructCommand:
         assert rc == 2
         assert "sum to pi/3" in capsys.readouterr().err
 
-    def test_degenerate_triple_exits_three(self, capsys):
-        # 30 degrees is exactly pi/6: the triple is admissible but the
-        # construction degenerates, which is a different failure class.
+    def test_thirty_degree_triple_constructs(self, capsys):
+        # 30 degrees is exactly pi/6, where two of the paper's arc points
+        # can coincide; each outer vertex is built without them.
         rc = main(["construct", "--a", "30", "--b", "20", "--c", "10"])
-        assert rc == 3
-        assert "construction failed" in capsys.readouterr().err
+        assert rc == 0
+        assert capsys.readouterr().out.strip() == "outer angles (deg): 90.000000, 60.000000, 30.000000"
 
     @pytest.mark.xfail(
         strict=True,
@@ -247,17 +247,18 @@ class TestRenderCommand:
             assert rc == 2
             assert "cannot parse" in capsys.readouterr().err
 
-    def test_side_line_through_coincident_points_exits_two(self, capsys, tmp_path):
-        # Side line AB runs through I_a and J_b; with the two equal it has
-        # no direction, so no carrier segment can be drawn along it.
+    def test_side_line_through_coincident_points_renders(self, tmp_path):
+        # Side line AB runs through I_a and J_b; with the two equal its
+        # carrier segment still runs along A and B, as at one angle of 30 degrees.
         cfg = construct(equilateral_triangle(), AngleTriple.from_degrees(20.0, 15.0, 25.0))
         data = json.loads(config_document(cfg))
         data["points"]["J_b"] = data["points"]["I_a"]
         doc = tmp_path / "cfg.json"
         doc.write_text(json.dumps(data))
-        rc = main(["render", "--json", str(doc), "--svg", str(tmp_path / "x.svg")])
-        assert rc == 2
-        assert "cannot parse" in capsys.readouterr().err
+        svg_path = tmp_path / "x.svg"
+        rc = main(["render", "--json", str(doc), "--svg", str(svg_path)])
+        assert rc == 0
+        assert svg_path.read_text().count('class="construction-line"') == 3
 
     @pytest.mark.parametrize("field, where", [
         (("arcs", "a", "radius"), '["arcs"]["a"]["radius"]'),

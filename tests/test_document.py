@@ -392,19 +392,19 @@ class TestGoldenBytes:
     with a deliberate change to the emitted bytes."""
 
     def test_battery_report(self, battery):
-        digest = "6d0e9ebff42f83d840711165410fd6d3ff426f9f481837e3f17e36fb61a62e44"
+        digest = "2e0d704d6c2597ca25cba130e174f2e23dd01007ec311ad1f5b2b0035f527b6e"
         assert sha256(summary_document(battery, full=True)) == digest
 
     def test_battery_compact_report(self, battery):
-        digest = "3fac49b176615badf33cf0834470142a6715208aaea3801170d14534d11981c7"
+        digest = "2ebe28e446573517909455f822fe148f7a5cee5ad67a6670c4598f40d2d70120"
         assert sha256(summary_document(battery)) == digest
 
     @pytest.mark.parametrize(
         "side, digest",
         [
-            (1e-100, "014a8a65bc497d412cac7ee227f837d1324d4ff3c3aa677ad5ad5204b8685bea"),
-            (1.0, "6e9215486630e0b3bda24b77480f562b3d49cd83a1395acaf5e6f0fc38a19a5c"),
-            (1e100, "03f2d3b9a00e7f8f3e0ac932a2dca68700a45111d130c744d012ed00a3ff1a69"),
+            (1e-100, "001b97611bf0dc8bf8c23bbff43a70dd945fe2e91c0616ceb845168b4f0fae6f"),
+            (1.0, "e778dd2b066a783846da9c5804d26938533822e68e7a5eaf699e1d9df51b9622"),
+            (1e100, "35d3688428f1a03ba45d4f137a1f72a8b5ad03ef14f77db1db8a5cfbbe688546"),
         ],
     )
     def test_configuration(self, side, digest):

@@ -362,10 +362,10 @@ class TestPastTheLargestFloat:
         assert type(info.value) is GeometryError
 
     def test_labels_keep_the_plain_mean_where_the_sums_are_finite(self):
-        # Averaging x / n in place of sum(x) / n would print x="0.152479421".
+        # Averaging x / n in place of sum(x) / n would print x="0.49999889".
         svg = render_svg(construct(equilateral_triangle(), AngleTriple.from_degrees(0.001, 0.001, 59.998)))
         assert (
-            '<text class="label" x="0.152479422" y="-4332.44565" font-size="7018.7633"'
+            '<text class="label" x="0.499998892" y="-4332.44566" font-size="7018.7633"'
             ' fill="#30323d" text-anchor="middle">A\'</text>'
         ) in svg.splitlines()
 

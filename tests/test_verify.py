@@ -242,11 +242,6 @@ class TestOuterAngles:
             math.radians(45.0), abs=1e-15
         )
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="c lies 8.7e-9 rad above pi/6; the outer angles at A and B miss ANGLE_TOL "
-        "by 4.3e-9 there (ROADMAP item 3: conditioning near the degenerate set)",
-    )
     def test_triple_next_to_pi_over_six(self):
         # Sample s0468 of run_battery(1000, 1838334830).
         triple = AngleTriple(0.06019650577190387, 0.46340226108747773, 0.5235987843372161)
