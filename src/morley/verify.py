@@ -22,11 +22,16 @@ by the inner triangle's winding instead.  All other identities hold as
 plain unsigned angles for every admissible triple.  A check of one
 result returns a CheckReport; the others measure into rows, which a
 summary folds into verdicts, building a CheckReport only when one is read.
+A battery folds its samples in up to one forked process per available
+CPU and merges the folds in sample order, so its verdicts and documents
+are those of one process; reading its checks sweeps again in-process.
 """
 
 from __future__ import annotations
 
+import marshal
 import math
+import os
 import random
 import re
 from array import array
@@ -77,6 +82,11 @@ MIN_SAMPLE_ANGLE = math.radians(1.0)
 # A leading sample prefix, as run_battery puts on a check's name, else "".
 _SAMPLE_PREFIX = re.compile(r"s[0-9]+/|")
 
+# The fewest samples a battery gives each process that folds it.  Folding
+# in two processes broke even at about 28 samples and won 12-22% at 64
+# (run_battery and summary_document, medians of 40, Python 3.11, 2 vCPUs).
+_MIN_CHUNK = 32
+
 
 class CheckReport(Record):
     """One named measurement; it passes when within ``tol`` of its expected value."""
@@ -102,30 +112,17 @@ class CheckReport(Record):
 class _Checks(Sequence):
     """A sequence of CheckReport whose parts (prefix, rows) ``source(*args)``
     gives, each row (name, measured, expected, tol, mode) taking its part's
-    prefix (empty, or a sample's ``s<digits>/``).  Made, it folds the rows
-    into each family's count, failed count and worst row, and the failing
-    rows; reading a check calls the source again.  It equals, hashes and
-    prints as a tuple."""
+    prefix (empty, or a sample's ``s<digits>/``).  Made, it keeps the
+    rows' fold (``_fold``), or the ``fold`` given of the same parts;
+    reading a check calls the source again.  It equals, hashes and prints
+    as a tuple."""
 
     __slots__ = ("_source", "_args", "_families", "_failing")
 
-    def __init__(self, source: Callable[..., Iterable[tuple[str, Iterable[tuple]]]], *args) -> None:
+    def __init__(self, source: Callable[..., Iterable[tuple[str, Iterable[tuple]]]], *args, fold=None) -> None:
         self._source, self._args = source, args
         # family -> [count, failed, worst's prefix, worst row, its rank]; a larger rank is worse.
-        families, failing = self._families, self._failing = {}, []
-        for prefix, rows in source(*args):
-            for row in rows:
-                error = abs(row[1] - row[2])
-                # CheckReport.passed, from the error already in hand.
-                failed = not error <= row[3]
-                rank = (failed, error != error, error)
-                entry = families.setdefault(row[0], [0, 0, prefix, row, rank])
-                entry[0] += 1
-                entry[1] += failed
-                if rank > entry[4]:
-                    entry[2:] = prefix, row, rank
-                if failed:
-                    failing.append((prefix, row))
+        self._families, self._failing = fold or _fold(source(*args))
 
     def _rows(self) -> Iterable[tuple[str, float, float, float, str]]:
         """Each row as its part gave it, without the prefix, which a check function's part lacks."""
@@ -188,6 +185,37 @@ class VerificationSummary(Record):
         """
         return tuple((family, count, failed, _report(prefix, *row))
                      for family, (count, failed, prefix, row, _) in self.checks._families.items())
+
+
+def _fold(parts: Iterable[tuple[str, Iterable[tuple]]]) -> tuple[dict, list]:
+    """Each family's [count, failed, worst's prefix, worst row, its rank]
+    and the failing (prefix, row) pairs of ``parts``, in order."""
+    families, failing = {}, []
+    for prefix, rows in parts:
+        for row in rows:
+            error = abs(row[1] - row[2])
+            # CheckReport.passed, from the error already in hand.
+            failed = not error <= row[3]
+            rank = (failed, error != error, error)
+            entry = families.setdefault(row[0], [0, 0, prefix, row, rank])
+            entry[0] += 1
+            entry[1] += failed
+            if rank > entry[4]:
+                entry[2:] = prefix, row, rank
+            if failed:
+                failing.append((prefix, row))
+    return families, failing
+
+
+def _merge(fold: tuple[dict, list], later: tuple[dict, list]) -> None:
+    """Extend ``fold`` by ``later``, the fold of the parts after its own, as one _fold of both would."""
+    for family, (count, failed, *worst) in later[0].items():
+        entry = fold[0].setdefault(family, [0, 0, *worst])
+        entry[0] += count
+        entry[1] += failed
+        if worst[2] > entry[4]:
+            entry[2:] = worst
+    fold[1].extend(later[1])
 
 
 def _report(prefix: str, name: str, measured: float, expected: float, tol: float, mode: str) -> CheckReport:
@@ -424,14 +452,25 @@ def random_similarity(rng: random.Random) -> tuple[float, float, Point]:
     return theta, scale, shift
 
 
-def _battery_parts(samples: int, seed: int, tol: float) -> Iterable[tuple[str, Iterable[tuple]]]:
+def _battery_parts(
+    samples: int, seed: int, tol: float, start: int = 0, stop: int | None = None
+) -> Iterable[tuple[str, Iterable[tuple]]]:
     """run_battery's parts: each sample's rows under its ``s<index>/`` prefix,
-    then the limit probes'.  The same arguments give the same rows."""
+    then the limit probes'.  The same arguments give the same rows.  Given a
+    chunk, samples ``start`` to ``stop - 1``, only theirs, and the limit
+    probes' if it ends the battery; the earlier samples' draws are made and
+    dropped, so each sample draws what it draws in the whole sweep."""
     inner = equilateral_triangle()
     # The battery draws only through ``uniform``, whose stream for a given
     # seed is stable across Python versions.
     rng = random.Random(seed)
-    for number, angles in enumerate(_sample_triples(rng, samples)):
+    triples = _sample_triples(rng, samples)
+    for _ in range(start):
+        random_triangle(rng)
+        random_similarity(rng)
+    stop = samples if stop is None else stop
+    for number in range(start, stop):
+        angles = triples[number]
         cfg = construct(inner, angles)
         summaries = check_angle_identities(cfg, tol), check_isosceles_arcs(cfg), check_outer_angles(cfg, tol)
         triangle = random_triangle(rng)
@@ -443,7 +482,52 @@ def _battery_parts(samples: int, seed: int, tol: float) -> Iterable[tuple[str, I
             check_similarity_invariance(triangle, trisected, theta, scale, shift, tol),
         ))
         yield f"s{number:04d}/", chain(*(summary.checks._rows() for summary in summaries), singles)
-    yield "", limit_sequence(inner).checks._rows()
+    if stop == samples:
+        yield "", limit_sequence(inner).checks._rows()
+
+
+def _processes(samples: int) -> int:
+    """How many processes fold a battery: one per available CPU, each given at
+    least _MIN_CHUNK samples, if /proc/self/task shows one thread, else one
+    (a forked child has one thread; Python 3.12 warns at a fork with more)."""
+    alone = os.path.isdir("/proc/self/task") and len(os.listdir("/proc/self/task")) == 1
+    return max(1, min(len(os.sched_getaffinity(0)), samples // _MIN_CHUNK)) if alone else 1
+
+
+def _battery_fold(samples: int, seed: int, tol: float) -> tuple[dict, list]:
+    """The fold of _battery_parts(samples, seed, tol) in _processes(samples)
+    contiguous chunks: this process folds the first, a forked child each
+    other one, which it sends back as marshal bytes.  A child that fails
+    exits 1 and its chunk is folded here, so the earliest failing chunk
+    raises.  No child outlives the call."""
+    processes = _processes(samples)
+    bounds = [samples * i // processes for i in range(processes + 1)]
+    children = {}  # pid -> (the read end of its pipe, its chunk), until reaped
+    try:
+        for chunk in zip(bounds[1:], bounds[2:]):
+            read, write = os.pipe()
+            if (pid := os.fork()) == 0:
+                try:
+                    with open(write, "wb") as pipe:
+                        pipe.write(marshal.dumps(_fold(_battery_parts(samples, seed, tol, *chunk))))
+                except BaseException:  # a child never returns into the caller's frames
+                    os._exit(1)
+                os._exit(0)
+            children[pid] = open(read, "rb"), chunk
+            os.close(write)
+        fold = _fold(_battery_parts(samples, seed, tol, 0, bounds[1]))
+        for pid, (pipe, chunk) in list(children.items()):
+            with pipe:
+                sent = pipe.read()
+            failed = os.waitpid(pid, 0)[1]
+            del children[pid]
+            _merge(fold, _fold(_battery_parts(samples, seed, tol, *chunk)) if failed else marshal.loads(sent))
+        return fold
+    finally:
+        for pid, (pipe, _) in children.items():
+            pipe.close()
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
 
 
 def run_battery(samples: int = 100, seed: int = DEFAULT_SEED, tol: float = ANGLE_TOL) -> VerificationSummary:
@@ -453,8 +537,10 @@ def run_battery(samples: int = 100, seed: int = DEFAULT_SEED, tol: float = ANGLE
     on the unit equilateral triangle and runs every per-configuration
     check; it also trisects an unrelated random triangle once and checks
     that result for equilaterality and similarity commutation.  A
-    sample's 24 checks share one prefix, ``s<index>/``; reading the checks
-    runs the sweep again.  ``samples`` and ``seed`` are whole numbers.
+    sample's 24 checks share one prefix, ``s<index>/``.  The samples are
+    folded in up to one forked process per available CPU, with the
+    verdicts of one process; reading the checks runs the sweep again, here.
+    ``samples`` and ``seed`` are whole numbers.
     ``tol`` goes to every angle and length check: absolute in radians for
     the angles, relative to the figure's scale for the lengths.  The
     isosceles and limit checks keep their own tolerances.
@@ -462,4 +548,5 @@ def run_battery(samples: int = 100, seed: int = DEFAULT_SEED, tol: float = ANGLE
     samples, seed = index(samples), index(seed)
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    return VerificationSummary(_Checks(_battery_parts, samples, seed, tol), seed, samples)
+    checks = _Checks(_battery_parts, samples, seed, tol, fold=_battery_fold(samples, seed, tol))
+    return VerificationSummary(checks, seed, samples)

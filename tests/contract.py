@@ -29,8 +29,6 @@ from pathlib import Path
 from tempfile import TemporaryDirectory
 
 from morley.cli import main
-from morley.document import config_document
-from morley.inverse import AngleTriple, construct, equilateral_triangle
 
 CORPUS = Path(__file__).with_name("corpus.json")
 
@@ -39,6 +37,36 @@ OUT = ["--json", "{dir}/out.json", "--svg", "{dir}/out.svg"]
 MISSING = "{dir}/missing/out"
 RIGHT = ["--p1", "0,0", "--p2", "4,0", "--p3", "0,3"]
 DRAW_FLAGS = ([], ["--no-arcs"], ["--no-labels"], ["--no-arcs", "--no-labels"])
+
+# The configuration document of (20, 15, 25) degrees on the unit side, as
+# construct made it when the documents were frozen.  The edited documents
+# start from it, not from construct, so a change to construct's last bits
+# moves only the cases that run construct.
+GOOD = {
+    "angles": {"a": 0.3490658503988659, "b": 0.2617993877991494, "c": 0.4363323129985824},
+    "points": {
+        "A": [0.246143347028564, -2.8134313305132164],
+        "B": [3.948505634256882, 2.4740899902290825],
+        "C": [-1.7508521961311843, 1.4691394320196078],
+        "A'": [0.5, 0.8660254037844386],
+        "B'": [0.0, 0.0],
+        "C'": [1.0, 0.0],
+        "I_a": [1.766044443118978, -0.6427876096865393],
+        "J_a": [-0.7660444431189779, -0.6427876096865393],
+        "I_b": [0.4999999999999998, 1.8660254037844384],
+        "J_b": [1.8660254037844384, -0.5],
+        "I_c": [-0.9848077530122079, -0.1736481776669303],
+        "J_c": [0.15797985667433134, 1.8057180245703468],
+    },
+    "arcs": {
+        "a": {"center": [0.5, -1.3737387097273113], "radius": 1.4619022000815438, "chord": ["C'", "B'"]},
+        "b": {"center": [2.3660254037844384, 1.3660254037844388], "radius": 1.9318516525781368, "chord": ["A'", "C'"]},
+        "c": {"center": [-0.6785987358764067, 0.969139432019609], "radius": 1.1831007915762493, "chord": ["B'", "A'"]},
+    },
+    "lines": {"AB": ["I_a", "J_b"], "BC": ["I_b", "J_c"], "CA": ["I_c", "J_a"]},
+    "inner": ["A'", "B'", "C'"],
+    "outer": ["A", "B", "C"],
+}
 
 
 def _sha(data: bytes) -> str:
@@ -82,7 +110,7 @@ def _mapped(data: dict, scale: float, dx: float = 0.0, dy: float = 0.0, radius: 
 def _documents() -> dict[str, str]:
     """Configuration documents for ``render --json``: well formed,
     malformed, and moved or grown towards the largest float."""
-    base = config_document(construct(equilateral_triangle(), AngleTriple.from_degrees(20.0, 15.0, 25.0)))
+    base = json.dumps(GOOD, indent=2) + "\n"
     points = json.loads(base)["points"]
     middle_ab = [(u + v) / 2 for u, v in zip(points["A"], points["B"])]
     docs = {"good": base, "empty": "{}", "not-json": "not json", "list": "[1, 2]"}

@@ -1,9 +1,12 @@
 import gc
 import json
 import math
+import os
 import random
+import threading
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given
@@ -19,6 +22,8 @@ from morley.verify import (
     ANGLE_TOL,
     CheckReport,
     VerificationSummary,
+    _MIN_CHUNK,
+    _processes,
     _sample_triples,
     check_angle_identities,
     check_equilateral_forward,
@@ -561,3 +566,123 @@ def test_battery_matches_reference_sweep(seed, tol):
     # fold each family by the name less its prefix.
     assert summary.families() == reference.families()
     assert summary_document(summary) == summary_document(reference)
+
+
+def _fold_in(monkeypatch, processes):
+    """Make run_battery fold in ``processes`` processes; the list returned
+    gets the pid of each child it forks."""
+    pids = []
+    fork = os.fork
+
+    def forking():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(morley.verify, "_processes", lambda samples: processes)
+    monkeypatch.setattr(os, "fork", forking)
+    return pids
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _raising_at(monkeypatch, seed, samples, numbers):
+    """Make check_outer_angles raise a ValueError naming the sample at each
+    of ``numbers`` of run_battery(samples, seed), whichever process folds it."""
+    triples = _sample_triples(random.Random(seed), samples)
+    bad = {triples[number]: number for number in numbers}
+    check = morley.verify.check_outer_angles
+
+    def raising(cfg, tol=ANGLE_TOL):
+        if cfg.angles in bad:
+            raise ValueError(f"sample {bad[cfg.angles]}")
+        return check(cfg, tol)
+
+    monkeypatch.setattr(morley.verify, "check_outer_angles", raising)
+
+
+def _documents(summary):
+    return summary_document(summary), summary_document(summary, full=True), summary.families(), summary.failures()
+
+
+# A test that asks for several processes forks even where the test session
+# has a second thread (numpy's, once a test imports it), which _processes
+# itself refuses; the children only fold rows.
+@pytest.mark.filterwarnings("ignore:This process:DeprecationWarning")
+class TestForkedFold:
+    @pytest.mark.parametrize("samples", [_MIN_CHUNK - 1, 2 * _MIN_CHUNK + 5])
+    @pytest.mark.parametrize("tol", [ANGLE_TOL, 1e-17])
+    def test_documents_match_one_process(self, monkeypatch, samples, tol):
+        # At 1e-17, 18 of the 24 per-sample families fail in every sample,
+        # so the failing rows' order and each family's worst row come from
+        # every chunk.
+        _fold_in(monkeypatch, 1)
+        one = _documents(run_battery(samples, 13, tol))
+        for processes in (2, 3, 4):
+            pids = _fold_in(monkeypatch, processes)
+            assert _documents(run_battery(samples, 13, tol)) == one
+            assert len(pids) == processes - 1
+            _no_child_left()
+        assert bool(one[3]) is (tol == 1e-17)
+
+    def test_a_tolerance_marshal_cannot_send_is_folded_here(self, monkeypatch):
+        tol = Fraction(1, 10**9)
+        _fold_in(monkeypatch, 1)
+        one = _documents(run_battery(40, 5, tol))
+        pids = _fold_in(monkeypatch, 2)
+        assert _documents(run_battery(40, 5, tol)) == one
+        assert len(pids) == 1
+        _no_child_left()
+
+    @pytest.mark.parametrize("processes, numbers", [
+        (2, [25]), (2, [5, 25]), (3, [15, 30]), (3, [30, 35]), (4, [35]), (4, [3, 12, 39]),
+    ])
+    def test_raises_what_one_process_raises(self, monkeypatch, processes, numbers):
+        _raising_at(monkeypatch, 9, 40, numbers)
+        _fold_in(monkeypatch, 1)
+        with pytest.raises(ValueError) as one:
+            run_battery(40, 9)
+        assert str(one.value) == f"sample {numbers[0]}"
+        pids = _fold_in(monkeypatch, processes)
+        with pytest.raises(ValueError, match=f"^sample {numbers[0]}$"):
+            run_battery(40, 9)
+        assert len(pids) == processes - 1
+        _no_child_left()
+
+    def test_an_interrupt_kills_every_child(self, monkeypatch):
+        # The caller folds the first chunk; at its last sample a child's
+        # fold of 100 failing samples is larger than a pipe holds, so the
+        # child may be blocked writing it.
+        caller = os.getpid()
+        triples = _sample_triples(random.Random(4), 200)
+        check = morley.verify.check_outer_angles
+
+        def interrupted(cfg, tol=ANGLE_TOL):
+            if os.getpid() == caller and cfg.angles == triples[99]:
+                raise KeyboardInterrupt
+            return check(cfg, tol)
+
+        monkeypatch.setattr(morley.verify, "check_outer_angles", interrupted)
+        pids = _fold_in(monkeypatch, 2)
+        with pytest.raises(KeyboardInterrupt):
+            run_battery(200, 4, 1e-17)
+        assert len(pids) == 1
+        _no_child_left()
+
+
+def test_processes_fold_only_large_batteries_in_one_thread():
+    assert _processes(1) == _processes(_MIN_CHUNK - 1) == 1
+    assert 1 <= _processes(10**6) <= len(os.sched_getaffinity(0))
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert _processes(10**6) == 1
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
