@@ -13,11 +13,12 @@ numerically.
 from morley import check_limit_perpendicular, limit_sequence
 
 # 1. Probe a sequence of shrinking angles.  Each probe reports three
-#    measurements: the angle between the line and the side (expected
-#    pi/2), and the distances from I_a and J_b to the pivot point S.
+#    measurements, which its reports() gives in this order: the angle
+#    between the line and the side (expected pi/2), and the distances
+#    from I_a and J_b to the pivot point S.
 for a_small in (1e-2, 1e-3, 1e-4, 1e-5):
     probe = check_limit_perpendicular(a_small)
-    perpendicular, dist_i, dist_j = probe.checks
+    perpendicular, dist_i, dist_j = probe.reports()
     deviation = abs(perpendicular.measured - perpendicular.expected)
     print(
         f"a = {a_small:.0e}:  deviation {deviation:.6e} rad"

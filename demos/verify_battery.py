@@ -13,9 +13,11 @@ byte-identical run after run.
 from morley import run_battery, summary_document
 
 # 1. Run 100 samples with the default seed.  Each sample contributes 24
-#    named checks; ten limit checks are appended at the end.
+#    named checks; ten limit checks are appended at the end.  The summary
+#    keeps their count and verdicts; summary.reports() would run the sweep
+#    again to list every check.
 summary = run_battery(samples=100, seed=42)
-print(f"checks run: {len(summary.checks)}")
+print(f"checks run: {summary.count}")
 print(f"all pass:   {summary.all_pass}")
 
 # 2. The margins: each check family's worst error against its tolerance,

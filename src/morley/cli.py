@@ -162,7 +162,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         Path(args.json).write_text(summary_document(summary, full=args.full))
     failures = summary.failures()
     print(
-        f"checks: {len(summary.checks)}, failed: {len(failures)}, "
+        f"checks: {summary.count}, failed: {len(failures)}, "
         f"samples: {summary.samples}, seed: {summary.seed}"
     )
     shown = failures[:20]
@@ -185,7 +185,7 @@ def cmd_limit(args: argparse.Namespace) -> int:
     # Each limit check is its own family, so the full report is no longer.
     if args.json:
         Path(args.json).write_text(summary_document(summary, full=True))
-    for report in summary.checks:
+    for report in summary.reports():
         status = "PASS" if report.passed else "FAIL"
         print(
             f"{status} {report.name}: measured {report.measured:.6e}, "

@@ -196,21 +196,18 @@ def summary_document(summary: VerificationSummary, *, full: bool = False) -> str
     """
     seed, samples = _number(summary.seed), _number(summary.samples)
     if full:
-        checks = _list(_CHECK_RECORD % _record_values(report) for report in summary.checks)
+        checks = _list(_CHECK_RECORD % _record_values(report) for report in summary.reports())
         return _FULL_TEMPLATE % (seed, samples, "true" if summary.all_pass else "false", checks)
-    families = summary.families()
-    failed = sum(entry[2] for entry in families)
-    # The families' counts say whether there is a failure to look for.
-    failures = summary.failures() if failed else ()
+    failures = summary.failures()
     return _COMPACT_TEMPLATE % (
         seed,
         samples,
-        "false" if failed else "true",
-        len(summary.checks),
-        failed,
+        "false" if failures else "true",
+        summary.count,
+        len(failures),
         _list(
             _FAMILY_RECORD % (encode_basestring_ascii(family), count, family_failed, *_record_values(worst))
-            for family, count, family_failed, worst in families
+            for family, count, family_failed, worst in summary.families()
         ),
         _list(_CHECK_RECORD % _record_values(report) for report in failures),
     )

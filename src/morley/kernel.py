@@ -71,8 +71,9 @@ _set_field = object.__setattr__
 
 
 class Record:
-    """An immutable value whose fields are the subclass's ``__slots__``,
-    typed by its ``__init__``, which sets each with ``_set_field``.
+    """An immutable value whose fields are the subclass's ``__slots__`` but
+    a last one named ``_...``, which holds what the fields fix.  Its
+    ``__init__`` types them and sets each with ``_set_field``.
 
     Equality, hash and repr are a frozen dataclass's; pickling and
     copying rebuild the value through ``__init__``.
@@ -82,7 +83,7 @@ class Record:
 
     def __init_subclass__(cls) -> None:
         # A getattr loop in its place made construct 7% slower (Line.__init__ compares points).
-        cls._values = attrgetter(*cls.__slots__)
+        cls._values = attrgetter(*(name for name in cls.__slots__ if name[0] != "_"))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:

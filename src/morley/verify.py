@@ -24,7 +24,7 @@ result returns a CheckReport; the others measure into rows, which a
 summary folds into verdicts, building a CheckReport only when one is read.
 A battery folds its samples in up to one forked process per available
 CPU and merges the folds in sample order, so its verdicts and documents
-are those of one process; reading its checks sweeps again in-process.
+are those of one process; reading its reports sweeps again in-process.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import os
 import random
 import re
 from array import array
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain
 from operator import index
 
@@ -109,82 +109,56 @@ class CheckReport(Record):
         return self.abs_error <= self.tol
 
 
-class _Checks(Sequence):
-    """A sequence of CheckReport whose parts (prefix, rows) ``source(*args)``
-    gives, each row (name, measured, expected, tol, mode) taking its part's
-    prefix (empty, or a sample's ``s<digits>/``).  Made, it keeps the
-    rows' fold (``_fold``), or the ``fold`` given of the same parts;
-    reading a check calls the source again.  It equals, hashes and prints
-    as a tuple."""
-
-    __slots__ = ("_source", "_args", "_families", "_failing")
-
-    def __init__(self, source: Callable[..., Iterable[tuple[str, Iterable[tuple]]]], *args, fold=None) -> None:
-        self._source, self._args = source, args
-        # family -> [count, failed, worst's prefix, worst row, its rank]; a larger rank is worse.
-        self._families, self._failing = fold or _fold(source(*args))
-
-    def _rows(self) -> Iterable[tuple[str, float, float, float, str]]:
-        """Each row as its part gave it, without the prefix, which a check function's part lacks."""
-        return chain.from_iterable(rows for _, rows in self._source(*self._args))
-
-    def __len__(self) -> int:
-        return sum(entry[0] for entry in self._families.values())
-
-    def __getitem__(self, i):
-        return tuple(self)[i]
-
-    def __iter__(self):
-        return (_report(prefix, *row) for prefix, rows in self._source(*self._args) for row in rows)
-
-    # Sequence's own __reversed__ and index read self[i], each a sweep.
-    def __reversed__(self):
-        return reversed(tuple(self))
-
-    def index(self, value, start=0, stop=None) -> int:
-        return Sequence.index(tuple(self), value, start, stop)
-
-    def __eq__(self, other: object) -> bool:
-        return (self is other or tuple(self) == tuple(other)) if isinstance(other, (tuple, _Checks)) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
-
-
 class VerificationSummary(Record):
-    """A batch of checks, kept as a _Checks, with the sweep parameters that
-    made it; verdicts read the fold.  Reports passed in become rows kept in a
-    list, a name's ``s<digits>/`` sample prefix going to its part's prefix."""
+    """A batch of checks as the fold of their rows, which the verdicts read,
+    and what makes the rows again: ``parts``, or, where it is None, the
+    sweep run_battery(samples, seed, tol).  A row is (name, measured,
+    expected, tol, mode) under its part's prefix, empty or a sample's
+    ``s<digits>/``; each report passed in becomes a part of one row.
+    Equality, hash, repr and copies read only what the summary keeps."""
 
-    __slots__ = ("checks", "seed", "samples")
+    __slots__ = ("parts", "seed", "samples", "tol", "_fold")
 
     def __init__(self, checks: Iterable[CheckReport], seed: int = 0, samples: int = 1) -> None:
-        _set_field(self, "checks", checks if type(checks) is _Checks else _Checks(iter, [*map(_report_part, checks)]))
-        _set_field(self, "seed", seed)
-        _set_field(self, "samples", samples)
+        self._set(tuple(map(_report_part, checks)), seed, samples)
+
+    def _set(self, parts, seed=0, samples=1, tol=None, fold=None) -> VerificationSummary:
+        for name, value in zip(self.__slots__, (parts, seed, samples, tol, fold or _fold(parts))):
+            _set_field(self, name, value)
+        return self
+
+    def __reduce__(self) -> tuple:
+        return _summary, (*self._values(self), self._fold)
+
+    @property
+    def count(self) -> int:
+        return sum(entry[0] for entry in self._fold[0].values())
 
     @property
     def all_pass(self) -> bool:
-        return not self.checks._failing
+        return not self._fold[1]
+
+    def reports(self) -> Iterator[CheckReport]:
+        """Each check, in report order; for a battery, each call sweeps once."""
+        parts = _battery_parts(self.samples, self.seed, self.tol) if self.parts is None else self.parts
+        return (_report(prefix, *row) for prefix, rows in parts for row in rows)
 
     def failures(self) -> tuple[CheckReport, ...]:
-        return tuple(_report(prefix, *row) for prefix, row in self.checks._failing)
+        return tuple(_report(prefix, *row) for prefix, row in self._fold[1])
 
     def families(self) -> tuple[tuple[str, int, int, CheckReport], ...]:
-        """``(family, count, failed, worst)`` for each check family, in
-        order of first appearance.
-
-        A check's family is its name less its ``s<digits>/`` sample
-        prefix, which its part's prefix holds.  ``worst`` is the check
-        with the largest ``abs_error``, a failing check outranking every
-        passing one and, among failing ones, a NaN error the largest; a
-        tie goes to the first in report order.
-        """
+        """``(family, count, failed, worst)`` for each check family, in order
+        of first appearance.  A family is a check's name less its sample
+        prefix.  ``worst`` has the largest ``abs_error``, a failing check
+        outranking every passing one and, among failing ones, a NaN error
+        any number; a tie goes to the first in report order."""
         return tuple((family, count, failed, _report(prefix, *row))
-                     for family, (count, failed, prefix, row, _) in self.checks._families.items())
+                     for family, (count, failed, prefix, row, _) in self._fold[0].items())
+
+
+def _summary(*fields) -> VerificationSummary:
+    """The summary of (parts, seed, samples, tol, fold); without a fold, of the parts' fold."""
+    return VerificationSummary.__new__(VerificationSummary)._set(*fields)
 
 
 def _fold(parts: Iterable[tuple[str, Iterable[tuple]]]) -> tuple[dict, list]:
@@ -224,8 +198,7 @@ def _report(prefix: str, name: str, measured: float, expected: float, tol: float
 
 
 def _report_part(report: CheckReport) -> tuple[str, tuple[tuple[str, float, float, float, str]]]:
-    """A report as a _Checks part of one row, a sample prefix split off its
-    name and its numbers made floats as a float array makes them."""
+    """A report as a part of one row: its sample prefix split off, its numbers floats as a float array makes them."""
     cut = _SAMPLE_PREFIX.match(report.name).end()
     return report.name[:cut], ((report.name[cut:], *array("d", CheckReport._values(report)[1:4]), report.mode),)
 
@@ -302,7 +275,7 @@ def check_angle_identities(cfg: MorleyConfiguration, tol: float = ANGLE_TOL) -> 
         expected = 3.0 * getattr(cfg.angles, param)
         measured = angle_at(pts[vertex], pts[p], pts[q])
         rows.append((names[4], measured, expected, tol, "unsigned"))
-    return VerificationSummary(_Checks(iter, [("", rows)]))
+    return _summary((("", tuple(rows)),))
 
 
 def check_isosceles_arcs(cfg: MorleyConfiguration) -> VerificationSummary:
@@ -318,14 +291,14 @@ def check_isosceles_arcs(cfg: MorleyConfiguration) -> VerificationSummary:
         left = pts[apex].distance_to(pts[i_name])
         right = pts[apex].distance_to(pts[j_name])
         rows.append((names[5], left / right, 1.0, ISOSCELES_RTOL, "unsigned"))
-    return VerificationSummary(_Checks(iter, [("", rows)]))
+    return _summary((("", tuple(rows)),))
 
 
 def check_outer_angles(cfg: MorleyConfiguration, tol: float = ANGLE_TOL) -> VerificationSummary:
     """Interior angles of the constructed triangle against (3a, 3b, 3c)."""
     triples = zip(_OUTER_ANGLE_NAMES, cfg.outer.angles(), cfg.angles.as_tuple())
     rows = [(name, measured, 3.0 * angle, tol, "unsigned") for name, measured, angle in triples]
-    return VerificationSummary(_Checks(iter, [("", rows)]))
+    return _summary((("", tuple(rows)),))
 
 
 def check_roundtrip(inner: Triangle, angles: AngleTriple, tol: float = ANGLE_TOL) -> CheckReport:
@@ -388,11 +361,11 @@ def check_limit_perpendicular(a_small: float, inner: Triangle | None = None) -> 
     between = math.atan2(abs(cross), abs(dot))
     s_point = pts["C'"] + (pts["C'"] - pts["B'"])
     tag = f"limit[a={a_small:g}]"
-    return VerificationSummary(_Checks(iter, [("", (
+    return _summary((("", (
         (f"{tag} perpendicular", between, math.pi / 2.0, tol, "unsigned"),
         (f"{tag} dist[I_a, S]", pts["I_a"].distance_to(s_point) / side, 0.0, tol, "unsigned"),
         (f"{tag} dist[J_b, S]", pts["J_b"].distance_to(s_point) / side, 0.0, tol, "unsigned"),
-    ))]))
+    )),))
 
 
 def limit_sequence(inner: Triangle | None = None) -> VerificationSummary:
@@ -404,12 +377,12 @@ def limit_sequence(inner: Triangle | None = None) -> VerificationSummary:
     probes (zero when the deviations are non-increasing).
     """
     inner = inner or equilateral_triangle()
-    probes = [[*check_limit_perpendicular(a_small, inner).checks._rows()] for a_small in LIMIT_DEFAULT_VALUES]
-    # Each probe's first row is its perpendicularity check.
+    # Each probe is one part, and its first row is its perpendicularity check.
+    probes = [check_limit_perpendicular(a_small, inner).parts[0][1] for a_small in LIMIT_DEFAULT_VALUES]
     deviations = [abs(measured - expected) for (_, measured, expected, *_), *_ in probes]
     worst_increase = max(later - earlier for earlier, later in zip(deviations, deviations[1:]))
     monotone = ("limit monotone", max(0.0, worst_increase), 0.0, 0.0, "unsigned")
-    return VerificationSummary(_Checks(iter, [("", [*chain(*probes), monotone])]))
+    return _summary((("", (*chain(*probes), monotone)),))
 
 
 def _sample_triples(rng: random.Random, n: int) -> tuple[AngleTriple, ...]:
@@ -481,9 +454,9 @@ def _battery_parts(
             check_equilateral_forward(trisected, tol),
             check_similarity_invariance(triangle, trisected, theta, scale, shift, tol),
         ))
-        yield f"s{number:04d}/", chain(*(summary.checks._rows() for summary in summaries), singles)
+        yield f"s{number:04d}/", chain(*(rows for summary in summaries for _, rows in summary.parts), singles)
     if stop == samples:
-        yield "", limit_sequence(inner).checks._rows()
+        yield from limit_sequence(inner).parts
 
 
 def _processes(samples: int) -> int:
@@ -496,35 +469,44 @@ def _processes(samples: int) -> int:
 
 def _battery_fold(samples: int, seed: int, tol: float) -> tuple[dict, list]:
     """The fold of _battery_parts(samples, seed, tol) in _processes(samples)
-    contiguous chunks: this process folds the first, a forked child each
-    other one, which it sends back as marshal bytes.  A child that fails
-    exits 1 and its chunk is folded here, so the earliest failing chunk
-    raises.  No child outlives the call."""
+    contiguous chunks: this process folds the first, and a forked child each
+    other one, sent back as marshal bytes.  A chunk whose fork or child fails
+    is folded here, in chunk order, so the earliest failing chunk raises.
+    No child outlives the call."""
     processes = _processes(samples)
-    bounds = [samples * i // processes for i in range(processes + 1)]
-    children = {}  # pid -> (the read end of its pipe, its chunk), until reaped
+    chunks = [(samples * i // processes, samples * (i + 1) // processes) for i in range(processes)]
+    children = {}  # chunk number -> (pid, the read end of its pipe), until reaped
     try:
-        for chunk in zip(bounds[1:], bounds[2:]):
+        for number, chunk in enumerate(chunks[1:], 1):
             read, write = os.pipe()
-            if (pid := os.fork()) == 0:
+            try:
+                pid = os.fork()
+            except OSError:  # such as EAGAIN: no child, so the chunk is folded here
+                os.close(read)
+                os.close(write)
+                continue
+            if pid == 0:
                 try:
                     with open(write, "wb") as pipe:
                         pipe.write(marshal.dumps(_fold(_battery_parts(samples, seed, tol, *chunk))))
                 except BaseException:  # a child never returns into the caller's frames
                     os._exit(1)
                 os._exit(0)
-            children[pid] = open(read, "rb"), chunk
+            children[number] = pid, open(read, "rb")
             os.close(write)
-        fold = _fold(_battery_parts(samples, seed, tol, 0, bounds[1]))
-        for pid, (pipe, chunk) in list(children.items()):
-            with pipe:
-                sent = pipe.read()
-            failed = os.waitpid(pid, 0)[1]
-            del children[pid]
+        fold = _fold(_battery_parts(samples, seed, tol, *chunks[0]))
+        for number, chunk in enumerate(chunks[1:], 1):
+            failed = number not in children
+            if not failed:
+                pid, pipe = children[number]
+                with pipe:
+                    sent = pipe.read()
+                failed = os.waitpid(pid, 0)[1]
+                del children[number]
             _merge(fold, _fold(_battery_parts(samples, seed, tol, *chunk)) if failed else marshal.loads(sent))
         return fold
     finally:
-        for pid, (pipe, _) in children.items():
+        for pid, pipe in children.values():
             pipe.close()
             os.kill(pid, 9)  # SIGKILL
             os.waitpid(pid, 0)
@@ -539,7 +521,8 @@ def run_battery(samples: int = 100, seed: int = DEFAULT_SEED, tol: float = ANGLE
     that result for equilaterality and similarity commutation.  A
     sample's 24 checks share one prefix, ``s<index>/``.  The samples are
     folded in up to one forked process per available CPU, with the
-    verdicts of one process; reading the checks runs the sweep again, here.
+    verdicts of one process; the summary keeps the fold and these
+    arguments, and each call of its ``reports()`` sweeps again, here.
     ``samples`` and ``seed`` are whole numbers.
     ``tol`` goes to every angle and length check: absolute in radians for
     the angles, relative to the figure's scale for the lengths.  The
@@ -548,5 +531,4 @@ def run_battery(samples: int = 100, seed: int = DEFAULT_SEED, tol: float = ANGLE
     samples, seed = index(samples), index(seed)
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    checks = _Checks(_battery_parts, samples, seed, tol, fold=_battery_fold(samples, seed, tol))
-    return VerificationSummary(checks, seed, samples)
+    return _summary(None, seed, samples, tol, _battery_fold(samples, seed, tol))

@@ -88,8 +88,8 @@ def test_criterion_3_angle_identities(sweep):
     for angles, cfg in zip(triples, configs):
         summary = check_angle_identities(cfg, tol=1e-9)
         all_pass = all_pass and summary.all_pass
-        worst = max(worst, max(r.abs_error for r in summary.checks))
-        for r in summary.checks:
+        worst = max(worst, max(r.abs_error for r in summary.reports()))
+        for r in summary.reports():
             if r.name == "angle[I_c B' J_a]":
                 modes_correct = modes_correct and (
                     (r.mode == "signed") == (angles.b >= sixth)
@@ -110,7 +110,7 @@ def test_criterion_3_angle_identities(sweep):
                 "pentagon[A I_a C' B' J_a]",
                 "angle[I_a A J_a]",
             )
-            for r in summary.checks:
+            for r in summary.reports():
                 if r.name in group_a:
                     unsigned_where_expected = unsigned_where_expected and r.mode == "unsigned"
     ok = all_pass and modes_correct and unsigned_where_expected
@@ -150,12 +150,11 @@ def test_criterion_5_similarity():
 
 def test_criterion_6_limit():
     probe = check_limit_perpendicular(1e-4)
-    deviation = abs(
-        probe.checks[0].measured - probe.checks[0].expected
-    )
+    perpendicular = next(probe.reports())
+    deviation = abs(perpendicular.measured - perpendicular.expected)
     within = deviation <= 1e-3
     sequence = limit_sequence()
-    monotone = next(r for r in sequence.checks if r.name == "limit monotone")
+    monotone = next(r for r in sequence.reports() if r.name == "limit monotone")
     ok = within and probe.all_pass and sequence.all_pass and monotone.measured == 0.0
     report(6, ok, f"as one angle vanishes the side line turns perpendicular to the "
                   f"inner side: deviation {deviation:.3e} rad <= 1e-3 at a = 1e-4, "

@@ -81,7 +81,7 @@ class TestSummaryDocument:
         assert data["seed"] == 3
         assert data["samples"] == 2
         assert data["all_pass"] is True
-        assert len(data["checks"]) == len(summary.checks)
+        assert len(data["checks"]) == summary.count
         first = data["checks"][0]
         assert set(first) == {"name", "mode", "measured", "expected", "abs_error", "tol", "pass"}
         assert first["pass"] is True
@@ -118,7 +118,7 @@ def _encoder_summary(summary):
         "seed": summary.seed,
         "samples": summary.samples,
         "all_pass": summary.all_pass,
-        "checks": [_record(report) for report in summary.checks],
+        "checks": [_record(report) for report in summary.reports()],
     }
     return "".join(json.JSONEncoder(indent=2).iterencode(doc)) + "\n"
 
@@ -145,7 +145,7 @@ def _encoder_compact(summary):
     """The default report as the stdlib encoder writes it, its families
     grouped here: the oracle of summary_document and families()."""
     families = {}
-    for report in summary.checks:
+    for report in summary.reports():
         name = _family(report.name)
         if name not in families:
             families[name] = {"family": name, "count": 0, "failed": 0, "worst": report}
@@ -157,12 +157,12 @@ def _encoder_compact(summary):
             entry["worst"] = report
     for entry in families.values():
         entry["worst"] = _record(entry["worst"])
-    failures = [_record(report) for report in summary.checks if not report.passed]
+    failures = [_record(report) for report in summary.reports() if not report.passed]
     doc = {
         "seed": summary.seed,
         "samples": summary.samples,
         "all_pass": summary.all_pass,
-        "count": len(summary.checks),
+        "count": summary.count,
         "failed": len(failures),
         "families": list(families.values()),
         "failures": failures,

@@ -20,7 +20,8 @@ from morley.kernel import Circle, Line, Point, Triangle
 from morley.render import TrisectionScene
 from morley.verify import CheckReport, VerificationSummary, run_battery
 
-# Each type's fields in the order its dataclass declared them.
+# Each type's fields in the order its dataclass declared them.  A
+# summary's fold is no field: its parts, or a battery's arguments, fix it.
 FIELDS = {
     Point: ("x", "y"),
     Line: ("p", "q"),
@@ -29,7 +30,7 @@ FIELDS = {
     AngleTriple: ("a", "b", "c"),
     MorleyConfiguration: ("angles", "inner", "outer", "circles", "arc_points"),
     CheckReport: ("name", "measured", "expected", "tol", "mode"),
-    VerificationSummary: ("checks", "seed", "samples"),
+    VerificationSummary: ("parts", "seed", "samples", "tol"),
     TrisectionScene: ("outer", "morley"),
 }
 
@@ -60,8 +61,8 @@ def examples():
         report,
         VerificationSummary([report], seed=7, samples=1),
         TrisectionScene.from_triangle(Triangle(Point(0, 0), Point(4, 0), Point(0, 3))),
-        # A battery's checks, kept as a fold and read by running the sweep
-        # again; its own id keeps the ids above.
+        # A battery, kept as its fold and arguments; its own id keeps the
+        # ids above.
         pytest.param(run_battery(2, 1), id="VerificationSummary-battery"),
     ]
 
@@ -107,6 +108,10 @@ def test_pickles_and_copies_to_an_equal_value(value):
         assert type(copied) is type(value)
         assert copied == value and hash(copied) == hash(value)
         assert repr(copied) == repr(value)
+        if type(value) is VerificationSummary:
+            # The fold comes along, so a copied battery's verdicts run no sweep.
+            verdicts = (value.count, value.all_pass, value.families(), value.failures())
+            assert (copied.count, copied.all_pass, copied.families(), copied.failures()) == verdicts
 
 
 @pytest.mark.parametrize("value", examples()[1:], ids=lambda value: type(value).__name__)
